@@ -1035,7 +1035,7 @@ func (h *harness) tier() {
 		"executed-instruction ledger diverged: O1=%d tier2=%d", steps[1], steps[2]))
 	ceiling := *tierCeiling
 	if *tierBaseline != "" {
-		if rec, err := recordedTierRatio(*tierBaseline); err != nil {
+		if rec, err := recordedRatio(*tierBaseline, "benchmarks", tierRatio); err != nil {
 			check(false, fmt.Sprintf("tier baseline %s: %v", *tierBaseline, err))
 		} else {
 			// 2x headroom: the ratio divides two independently noisy
@@ -1300,33 +1300,43 @@ func (h *harness) writeBenchJSON(path string) {
 	fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), path)
 }
 
-// recordedTierRatio reads a -bench-json document (see writeBenchJSON) and
-// returns the recorded tier-2/BPF per-packet time ratio, the baseline the
-// CI benchmark smoke asserts against.
-func recordedTierRatio(path string) (float64, error) {
+// recordedRatio reads a committed benchmark baseline — a JSON object
+// whose key holds an array of rows — and returns the ratio pick derives
+// from the rows. Both halves must be positive: a CI ceiling is never
+// derived from a missing or zero figure.
+func recordedRatio[R any](path, key string, pick func([]R) (num, den float64)) (float64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	var doc struct {
-		Rows []benchRow `json:"benchmarks"`
-	}
+	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		return 0, err
+		return 0, fmt.Errorf("%s: %w", path, err)
 	}
-	var bpfNs, tierNs float64
-	for _, r := range doc.Rows {
-		switch r.Name {
-		case "bpf_interpreter":
-			bpfNs = r.NsPerPkt
-		case "hilti_filter_tier2":
-			tierNs = r.NsPerPkt
+	var rows []R
+	if body, ok := doc[key]; ok {
+		if err := json.Unmarshal(body, &rows); err != nil {
+			return 0, fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	if bpfNs <= 0 || tierNs <= 0 {
-		return 0, fmt.Errorf("missing bpf_interpreter or hilti_filter_tier2 row")
+	num, den := pick(rows)
+	if num <= 0 || den <= 0 {
+		return 0, fmt.Errorf("%s: no usable %q rows", path, key)
 	}
-	return tierNs / bpfNs, nil
+	return num / den, nil
+}
+
+// tierRatio picks the tier-2/BPF per-packet ratio from -bench-json rows.
+func tierRatio(rows []benchRow) (num, den float64) {
+	for _, r := range rows {
+		switch r.Name {
+		case "bpf_interpreter":
+			den = r.NsPerPkt
+		case "hilti_filter_tier2":
+			num = r.NsPerPkt
+		}
+	}
+	return num, den
 }
 
 func ratio(a, b time.Duration) float64 {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -72,5 +74,55 @@ func TestBenchRowOmitsVMFieldsWhenZero(t *testing.T) {
 		if _, ok := m[present]; !ok {
 			t.Errorf("%s missing: %s", present, out)
 		}
+	}
+}
+
+// TestRecordedRatio: the CI tier and rules stages derive their ceilings
+// from the committed baselines through recordedRatio. The committed files
+// must yield a usable ratio, and a baseline lacking a row or holding
+// malformed JSON must be an error, never a silently derived ceiling.
+func TestRecordedRatio(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	tier := func(p string) (float64, error) { return recordedRatio(p, "benchmarks", tierRatio) }
+	rules := func(p string) (float64, error) { return recordedRatio(p, "rules", rulesRatio) }
+	for _, tc := range []struct {
+		name   string
+		read   func(string) (float64, error)
+		path   string
+		lo, hi float64 // accepted ratio range; lo == hi == 0 wants an error
+	}{
+		// Tier-2 is slower than the BPF interpreter; the compiled rule
+		// plane is faster than the linear walk.
+		{"committed tier baseline", tier, "../../BENCH_tier.json", 1, 100},
+		{"committed rules baseline", rules, "../../BENCH_rules.json", 0.001, 1},
+		{"tier row missing", tier, write("tier.json",
+			`{"benchmarks":[{"name":"bpf_interpreter","ns_per_pkt":31}]}`), 0, 0},
+		{"rules rows missing", rules, write("rules.json", `{"rules":[]}`), 0, 0},
+		{"malformed tier JSON", tier, write("bad-tier.json", `{"benchmarks":[{"name":`), 0, 0},
+		{"malformed rules JSON", rules, write("bad-rules.json", `{"rules":{}}`), 0, 0},
+		{"missing file", tier, filepath.Join(dir, "absent.json"), 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := tc.read(tc.path)
+			if tc.lo == 0 && tc.hi == 0 {
+				if err == nil {
+					t.Fatalf("accepted, ratio %v", got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got < tc.lo || got > tc.hi {
+				t.Fatalf("ratio %v outside [%v, %v]", got, tc.lo, tc.hi)
+			}
+		})
 	}
 }

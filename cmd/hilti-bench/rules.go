@@ -225,29 +225,16 @@ type rulesRow struct {
 	CompiledNsPerPkt float64 `json:"compiled_ns_per_pkt"`
 }
 
-// recordedRulesRatio reads a -rules-json file and returns the
-// compiled/linear per-packet ratio recorded at the largest scale.
-func recordedRulesRatio(path string) (float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	var doc struct {
-		Rows []rulesRow `json:"rules"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return 0, err
-	}
+// rulesRatio picks the compiled/linear per-packet ratio at the largest
+// scale from -rules-json rows.
+func rulesRatio(rows []rulesRow) (num, den float64) {
 	best := rulesRow{}
-	for _, r := range doc.Rows {
+	for _, r := range rows {
 		if r.Scale > best.Scale {
 			best = r
 		}
 	}
-	if best.LinearNsPerPkt <= 0 || best.CompiledNsPerPkt <= 0 {
-		return 0, fmt.Errorf("no usable rules row in %s", path)
-	}
-	return best.CompiledNsPerPkt / best.LinearNsPerPkt, nil
+	return best.CompiledNsPerPkt, best.LinearNsPerPkt
 }
 
 func (h *harness) rules() {
@@ -366,7 +353,7 @@ func (h *harness) rules() {
 	gotRatio := last.CompiledNsPerPkt / last.LinearNsPerPkt
 	ceiling := *rulesCeiling
 	if *rulesBaseline != "" {
-		if rec, err := recordedRulesRatio(*rulesBaseline); err != nil {
+		if rec, err := recordedRatio(*rulesBaseline, "rules", rulesRatio); err != nil {
 			check(false, fmt.Sprintf("rules baseline %s: %v", *rulesBaseline, err))
 		} else {
 			// Same x2 headroom rationale as the tier baseline: the ratio

@@ -687,14 +687,14 @@ func encodeWireSlice(kind byte, s *pipeline.FlowSlice) ([]byte, error) {
 func decodeWireSlice(payload []byte) (*pipeline.FlowSlice, error) {
 	dec := snapshot.NewRawDecoder(payload)
 	s := &pipeline.FlowSlice{}
-	nh := dec.Len(keyBytes + 10)
+	nh := dec.Len(flow.KeyLen + 10)
 	for i := 0; i < nh && dec.Err() == nil; i++ {
 		hf := pipeline.HandlerFlow{VID: dec.U64()}
 		hf.Key = decodeKey(dec)
 		hf.Blob = bytes.Clone(dec.Bytes())
 		s.Handler = append(s.Handler, hf)
 	}
-	ns := dec.Len(keyBytes + 10)
+	ns := dec.Len(flow.KeyLen + 10)
 	for i := 0; i < ns && dec.Err() == nil; i++ {
 		sf := pipeline.SchedFlow{VID: dec.U64(), HasKey: dec.Bool()}
 		sf.Key = decodeKey(dec)

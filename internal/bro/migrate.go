@@ -12,6 +12,12 @@
 // is derived deterministically from the canonical 5-tuple and the flow's
 // start time (flow.UID), so it names the same flow on every instance.
 //
+// Flow blobs and filtered delta records reuse the state-record pieces of
+// checkpoint.go and wal.go: connections in encodeConn's layout, read by
+// readConn; script entries in tableEntryBlobs' layout; and table changes
+// as table diffs. FlowDeltaFilter reads each WAL record through
+// readRecord, the reader RestoreEngine and ApplyDelta use.
+//
 // Scope: per-flow extraction supports the interpreter script backend
 // only. Compiled scripts (ScriptExec "hilti") keep their state in VM
 // globals that this code cannot attribute to individual flows; ExtractFlow
@@ -24,7 +30,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"hilti/internal/pkt/flow"
@@ -36,14 +41,10 @@ import (
 // with ExtractFlow/InjectFlow/ForgetFlow/HasFlow this implements the
 // pipeline's MigratableHandler contract.
 func (e *Engine) MigratableFlows() []flow.Key {
-	open := make([]*conn, 0, len(e.conns))
-	for _, c := range e.conns {
-		open = append(open, c)
-	}
-	sort.Slice(open, func(i, j int) bool { return open[i].ctx < open[j].ctx })
-	out := make([]flow.Key, len(open))
-	for i, c := range open {
-		out[i] = c.key
+	ctxs := sortedKeys(e.ctxs)
+	out := make([]flow.Key, len(ctxs))
+	for i, ctx := range ctxs {
+		out[i] = e.ctxs[ctx].key
 	}
 	return out
 }
@@ -66,15 +67,9 @@ func (e *Engine) ExtractFlow(key flow.Key) ([]byte, error) {
 	if c.inFlightParse() {
 		return nil, fmt.Errorf("bro: connection %s holds in-flight parse state", c.uid)
 	}
-	var cb bytes.Buffer
-	cenc := snapshot.NewRawEncoder(&cb)
-	encodeConn(cenc, c)
-	if err := cenc.Err(); err != nil {
-		return nil, err
-	}
 	var buf bytes.Buffer
 	enc := snapshot.NewRawEncoder(&buf)
-	enc.Bytes(cb.Bytes())
+	encodeConn(enc, c)
 	entries := e.flowScriptEntries(c.uid)
 	enc.U32(uint32(len(entries)))
 	for _, fe := range entries {
@@ -99,12 +94,11 @@ func (e *Engine) InjectFlow(blob []byte) (flow.Key, error) {
 		return flow.Key{}, errors.New("bro: per-flow migration requires the interpreter script backend")
 	}
 	dec := snapshot.NewRawDecoder(blob)
-	cb := dec.Bytes()
+	r := readConn(dec)
 	if err := dec.Err(); err != nil {
 		return flow.Key{}, err
 	}
-	sub := snapshot.NewRawDecoder(cb)
-	c, err := decodeConn(sub, e)
+	c, err := e.restoreConn(&r)
 	if err != nil {
 		return flow.Key{}, err
 	}
@@ -114,8 +108,7 @@ func (e *Engine) InjectFlow(blob []byte) (flow.Key, error) {
 	}
 	c.ctx = e.nextCtx
 	e.nextCtx++
-	e.conns[ck] = c
-	e.ctxs[c.ctx] = c
+	e.addConn(c)
 	n := dec.Len(5)
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		name := dec.String()
@@ -127,7 +120,7 @@ func (e *Engine) InjectFlow(blob []byte) (flow.Key, error) {
 		if !ok {
 			return flow.Key{}, fmt.Errorf("bro: migrated entry for non-table global %q", name)
 		}
-		if err := installTableEntry(t, eb, e.interp); err != nil {
+		if err := upsertEntry(t, eb, e.interp); err != nil {
 			return flow.Key{}, err
 		}
 	}
@@ -166,8 +159,8 @@ func (e *Engine) HasFlow(key flow.Key) bool {
 	return ok
 }
 
-// flowEntry is one uid-keyed script table entry, encoded in the WAL
-// codec's per-entry layout (keys, yield, touched).
+// flowEntry is one uid-keyed script table entry, encoded in the
+// tableEntryBlobs layout.
 type flowEntry struct {
 	global string
 	blob   []byte
@@ -183,34 +176,22 @@ func entryMatchesUID(en *tableEntry, uid string) bool {
 
 // flowScriptEntries collects the flow's entries across all interpreter
 // table globals, deterministically (globals sorted by name, entries in
-// table insertion order).
+// table insertion order). A table holding an unencodable entry for the
+// flow contributes nothing: its entries degrade like an unserializable
+// global does in a checkpoint.
 func (e *Engine) flowScriptEntries(uid string) []flowEntry {
-	names := make([]string, 0, len(e.interp.Globals))
-	for name, v := range e.interp.Globals {
-		if _, ok := v.(*TableVal); ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
 	var out []flowEntry
-	for _, name := range names {
-		t := e.interp.Globals[name].(*TableVal)
-		for _, en := range t.order {
-			if en.deleted || !entryMatchesUID(en, uid) {
-				continue
-			}
-			var buf bytes.Buffer
-			enc := snapshot.NewRawEncoder(&buf)
-			enc.U16(uint16(len(en.key)))
-			for _, k := range en.key {
-				encodeVal(enc, k, 1)
-			}
-			encodeVal(enc, en.yield, 1)
-			enc.I64(en.touched)
-			if enc.Err() != nil {
-				continue // unencodable entry: degrade like Checkpoint does
-			}
-			out = append(out, flowEntry{global: name, blob: buf.Bytes()})
+	for _, name := range sortedKeys(e.interp.Globals) {
+		t, ok := e.interp.Globals[name].(*TableVal)
+		if !ok {
+			continue
+		}
+		entries, order, ok := tableEntryBlobs(t, uid)
+		if !ok {
+			continue
+		}
+		for _, ks := range order {
+			out = append(out, flowEntry{global: name, blob: entries[ks]})
 		}
 	}
 	return out
@@ -234,36 +215,6 @@ func (e *Engine) dropFlowScriptState(uid string) bool {
 		}
 	}
 	return changed
-}
-
-// installTableEntry decodes one per-entry blob (the tableEntryBlobs /
-// ExtractFlow layout) and upserts it, preserving the recorded touch time
-// so &create_expire / &read_expire fire exactly as they would have
-// without the migration.
-func installTableEntry(t *TableVal, blob []byte, ip *Interp) error {
-	ed := snapshot.NewRawDecoder(blob)
-	nk := int(ed.U16())
-	if ed.Err() != nil || nk > ed.Remaining() {
-		return fmt.Errorf("bro: implausible migrated table key width %d", nk)
-	}
-	key := make([]Val, nk)
-	for j := range key {
-		key[j] = decodeVal(ed, ip, 1)
-	}
-	yield := decodeVal(ed, ip, 1)
-	touched := ed.I64()
-	if err := ed.Err(); err != nil {
-		return err
-	}
-	ks := KeyString(key)
-	if en, ok := t.entries[ks]; ok {
-		en.key, en.yield, en.touched = key, yield, touched
-		return nil
-	}
-	en := &tableEntry{key: key, keyStr: ks, yield: yield, touched: touched}
-	t.entries[ks] = en
-	t.order = append(t.order, en)
-	return nil
 }
 
 // --- per-flow delta filtering --------------------------------------------------
@@ -297,19 +248,14 @@ func NewFlowDeltaFilter(uid string) *FlowDeltaFilter {
 // blob (the pre-copy state shipped when the handoff session opened).
 func (f *FlowDeltaFilter) SeedConnBlob(blob []byte) error {
 	dec := snapshot.NewRawDecoder(blob)
-	cb := dec.Bytes()
+	r := readConn(dec)
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	sub := snapshot.NewRawDecoder(cb)
-	uid, ctx := skimConn(sub)
-	if err := sub.Err(); err != nil {
-		return err
+	if r.uid != f.uid {
+		return fmt.Errorf("bro: seeded blob is flow %s, filter is %s", r.uid, f.uid)
 	}
-	if uid != f.uid {
-		return fmt.Errorf("bro: seeded blob is flow %s, filter is %s", uid, f.uid)
-	}
-	f.ctxs[ctx] = true
+	f.ctxs[r.ctx] = true
 	return nil
 }
 
@@ -320,132 +266,60 @@ func (f *FlowDeltaFilter) uidKeyMatch(ks string) bool {
 	return ks == pfx || strings.HasPrefix(ks, pfx+"\x01")
 }
 
-// Filter projects one AppendDelta record. It returns nil when the record
-// carries nothing for the flow, and ErrUnfilterable when attribution is
-// impossible (whole-table rewrite).
+// Filter projects one AppendDelta record, read through readRecord. It
+// returns nil when the record carries nothing for the flow, and
+// ErrUnfilterable when attribution is impossible (whole-table rewrite).
+// The projection is the flow's uid, its table diffs (global name plus an
+// encodeTableDiff body), its close tombstone, and its dirty connection
+// record, copied verbatim.
 func (f *FlowDeltaFilter) Filter(record []byte) ([]byte, error) {
-	dec := snapshot.NewRawDecoder(record)
-
-	// Meta: clocks, counters, log watermark — engine-global, dropped.
-	dec.I64() // now
-	dec.I64() // nextCtx
-	for i := 0; i < 8; i++ {
-		dec.U64()
-	}
-	// Quarantine marks travel with the pipeline slice, not the delta tail.
-	nq := dec.Len(10)
-	for i := 0; i < nq && dec.Err() == nil; i++ {
-		dec.U64()
-		dec.Bool()
-		dec.U64()
-	}
-	// Log tails: the source's logs stay the source's; the cluster merges
-	// streams at collection time.
-	ns := dec.Len(8)
-	for i := 0; i < ns && dec.Err() == nil; i++ {
-		_ = dec.String()
-		nl := dec.Len(4)
-		for j := 0; j < nl && dec.Err() == nil; j++ {
-			_ = dec.String()
-		}
-	}
-
-	// Interpreter globals: keep uid-keyed diff entries.
-	type tableOut struct {
-		name string
-		dels []string
-		ups  [][]byte
-	}
-	var tables []tableOut
-	ng := dec.Len(6)
-	for i := 0; i < ng && dec.Err() == nil; i++ {
-		name := dec.String()
-		mode := dec.U8()
-		body := dec.Bytes()
-		if dec.Err() != nil {
-			break
-		}
-		switch mode {
-		case deltaTableDiff:
-			sub := snapshot.NewRawDecoder(body)
-			to := tableOut{name: name}
-			ndel := sub.Len(4)
-			for j := 0; j < ndel && sub.Err() == nil; j++ {
-				ks := sub.String()
-				if f.uidKeyMatch(ks) {
-					to.dels = append(to.dels, ks)
-				}
-			}
-			nup := sub.Len(4)
-			for j := 0; j < nup && sub.Err() == nil; j++ {
-				eb := sub.Bytes()
-				if sub.Err() != nil {
-					break
-				}
-				if uid, ok := entryBlobUID(eb); ok && uid == f.uid {
-					to.ups = append(to.ups, eb)
-				}
-			}
-			if err := sub.Err(); err != nil {
-				return nil, err
-			}
-			if len(to.dels) > 0 || len(to.ups) > 0 {
-				tables = append(tables, to)
-			}
-		case deltaWhole:
-			// A whole-value rewrite of a table global loses entry-level
-			// attribution; a non-table global is engine-wide by definition.
-			if len(body) > 0 && body[0] == valTable {
-				return nil, ErrUnfilterable
-			}
-		default:
-			return nil, fmt.Errorf("bro: unknown interp delta mode %d", mode)
-		}
-	}
-
-	// VM executor sections: engine-global (and absent under the backends
-	// per-flow migration supports); skipped structurally.
-	for w := 0; w < 2; w++ {
-		if !dec.Bool() {
-			continue
-		}
-		dec.I64()
-		nx := dec.Len(6)
-		for i := 0; i < nx && dec.Err() == nil; i++ {
-			dec.U32()
-			dec.U8()
-			dec.Bytes()
-		}
-	}
-
-	// Close tombstones: bare ctx ids; ours are the ones we have learned.
-	closed := false
-	ncl := dec.Len(8)
-	for i := 0; i < ncl && dec.Err() == nil; i++ {
-		if f.ctxs[dec.I64()] {
-			closed = true
-		}
-	}
-
-	// Dirty connections: whole re-encodes; match by uid, learn the ctx.
-	var connRaw []byte
-	ndc := dec.Len(keyBytes + 10)
-	for i := 0; i < ndc && dec.Err() == nil; i++ {
-		startRem := dec.Remaining()
-		uid, ctx := skimConn(dec)
-		if dec.Err() != nil {
-			break
-		}
-		if uid == f.uid {
-			f.ctxs[ctx] = true
-			span := record[len(record)-startRem : len(record)-dec.Remaining()]
-			connRaw = bytes.Clone(span)
-		}
-	}
-	if err := dec.Err(); err != nil {
+	r, err := readRecord(snapshot.NewRawDecoder(record), record)
+	if err != nil {
 		return nil, err
 	}
-	if len(tables) == 0 && !closed && connRaw == nil {
+	var tables []globalRec
+	for _, g := range r.interp {
+		if g.mode == deltaWhole {
+			// A whole-value rewrite of a table global loses entry-level
+			// attribution; a non-table global is engine-wide by definition.
+			if len(g.body) > 0 && g.body[0] == valTable {
+				return nil, ErrUnfilterable
+			}
+			continue
+		}
+		dels, ups, err := readTableDiff(g.body)
+		if err != nil {
+			return nil, err
+		}
+		var flowDels []string
+		for _, ks := range dels {
+			if f.uidKeyMatch(ks) {
+				flowDels = append(flowDels, ks)
+			}
+		}
+		var flowUps [][]byte
+		for _, eb := range ups {
+			if uid, ok := entryBlobUID(eb); ok && uid == f.uid {
+				flowUps = append(flowUps, eb)
+			}
+		}
+		if len(flowDels) > 0 || len(flowUps) > 0 {
+			tables = append(tables, globalRec{name: g.name, body: encodeTableDiff(flowDels, flowUps)})
+		}
+	}
+	// Close tombstones are bare ctx ids; ours are the ones we have learned.
+	closed := false
+	for _, ctx := range r.closed {
+		closed = closed || f.ctxs[ctx]
+	}
+	var conn []byte
+	for _, c := range r.conns {
+		if c.uid == f.uid {
+			f.ctxs[c.ctx] = true
+			conn = c.raw
+		}
+	}
+	if len(tables) == 0 && !closed && conn == nil {
 		return nil, nil
 	}
 
@@ -453,30 +327,21 @@ func (f *FlowDeltaFilter) Filter(record []byte) ([]byte, error) {
 	enc := snapshot.NewRawEncoder(&buf)
 	enc.String(f.uid)
 	enc.U32(uint32(len(tables)))
-	for _, to := range tables {
-		enc.String(to.name)
-		enc.U32(uint32(len(to.dels)))
-		for _, ks := range to.dels {
-			enc.String(ks)
-		}
-		enc.U32(uint32(len(to.ups)))
-		for _, eb := range to.ups {
-			enc.Bytes(eb)
-		}
+	for _, g := range tables {
+		enc.String(g.name)
+		enc.Bytes(g.body)
 	}
 	enc.Bool(closed)
-	enc.Bool(connRaw != nil)
-	if connRaw != nil {
-		enc.Raw(connRaw)
-	}
+	enc.Bool(conn != nil)
+	enc.Raw(conn)
 	if err := enc.Err(); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-// entryBlobUID peeks a per-entry blob's first key: (uid, true) when it is
-// a string, without decoding the rest of the entry.
+// entryBlobUID peeks an entry blob's first key: (uid, true) when it is a
+// string, without decoding the rest of the entry.
 func entryBlobUID(blob []byte) (string, bool) {
 	dec := snapshot.NewRawDecoder(blob)
 	if nk := dec.U16(); dec.Err() != nil || nk == 0 {
@@ -489,76 +354,18 @@ func entryBlobUID(blob []byte) (string, bool) {
 	return s, dec.Err() == nil
 }
 
-// skimConn advances dec past one encodeConn record without building
-// analyzers, returning the embedded uid and ctx.
-func skimConn(dec *snapshot.Decoder) (uid string, ctx int64) {
-	dec.Bytes() // flow key
-	uid = dec.String()
-	ctx = dec.I64()
-	flags := dec.U8()
-	if flags&cfRec != 0 {
-		dec.I64() // start time
-	}
-	skimStream(dec)
-	skimStream(dec)
-	if flags&cfStd != 0 {
-		skimHTTPDir(dec)
-		skimHTTPDir(dec)
-		skimStrings(dec)
-	}
-	skimStrings(dec)
-	return uid, ctx
-}
-
-func skimStream(dec *snapshot.Decoder) {
-	dec.Bool() // initialized
-	dec.U32()  // ISN
-	dec.U64()  // next
-	dec.U64()  // finRel
-	dec.Bool() // finSeen
-	dec.Bool() // closed
-	n := dec.Len(12)
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		dec.U64()
-		dec.Bytes()
-	}
-}
-
-func skimHTTPDir(dec *snapshot.Decoder) {
-	dec.Bytes()      // buf
-	dec.U8()         // state
-	dec.I64()        // remain
-	_ = dec.String() // ctype
-	dec.Bytes()      // body
-	dec.Bool()       // hasBody
-	dec.Bool()       // isHead
-	dec.I64()        // status
-}
-
-func skimStrings(dec *snapshot.Decoder) {
-	n := dec.Len(4)
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		_ = dec.String()
-	}
-}
-
-// FlowBlobUID peeks the connection uid out of an ExtractFlow blob without
-// decoding analyzer state; the cluster uses it to key the delta filter it
-// builds for each pre-copied flow.
+// FlowBlobUID reads the connection uid out of an ExtractFlow blob; the
+// cluster uses it to key the delta filter it builds for each pre-copied
+// flow.
 func FlowBlobUID(blob []byte) (string, error) {
 	dec := snapshot.NewRawDecoder(blob)
-	cb := dec.Bytes()
-	if err := dec.Err(); err != nil {
-		return "", err
-	}
-	sub := snapshot.NewRawDecoder(cb)
-	uid, _ := skimConn(sub)
-	return uid, sub.Err()
+	r := readConn(dec)
+	return r.uid, dec.Err()
 }
 
 // ApplyFlowDelta replays one filtered record onto this engine, moving
-// exactly the named flow: table-diff entries apply by canonical key, a
-// dirty connection re-encode replaces the flow's connection (keeping the
+// exactly the named flow: table diffs apply by canonical key, a dirty
+// connection re-encode replaces the flow's connection (keeping the
 // target-local ctx stable), and the close tombstone drops it. Counters,
 // clocks, and logs never move — the record does not carry them. The
 // first result reports whether the record closed the flow, so the caller
@@ -572,36 +379,29 @@ func (e *Engine) ApplyFlowDelta(data []byte) (bool, error) {
 	nt := dec.Len(9)
 	for i := 0; i < nt && dec.Err() == nil; i++ {
 		name := dec.String()
+		body := dec.Bytes()
+		if dec.Err() != nil {
+			break
+		}
 		t, ok := e.interp.Globals[name].(*TableVal)
-		if dec.Err() == nil && !ok {
+		if !ok {
 			return false, fmt.Errorf("bro: flow delta for non-table global %q", name)
 		}
-		ndel := dec.Len(4)
-		for j := 0; j < ndel && dec.Err() == nil; j++ {
-			ks := dec.String()
-			if en, ok := t.entries[ks]; ok {
-				en.deleted = true
-				delete(t.entries, ks)
-			}
-		}
-		nup := dec.Len(4)
-		for j := 0; j < nup && dec.Err() == nil; j++ {
-			eb := dec.Bytes()
-			if dec.Err() != nil {
-				break
-			}
-			if err := installTableEntry(t, eb, e.interp); err != nil {
-				return false, err
-			}
+		if err := applyTableDiff(t, body, e.interp); err != nil {
+			return false, err
 		}
 	}
 	closed := dec.Bool()
 	hasConn := dec.Bool()
+	var r connRecord
+	if hasConn {
+		r = readConn(dec)
+	}
 	if err := dec.Err(); err != nil {
 		return false, err
 	}
 	if hasConn {
-		c, err := decodeConn(dec, e)
+		c, err := e.restoreConn(&r)
 		if err != nil {
 			return false, err
 		}
@@ -613,8 +413,7 @@ func (e *Engine) ApplyFlowDelta(data []byte) (bool, error) {
 			c.ctx = e.nextCtx
 			e.nextCtx++
 		}
-		e.conns[ck] = c
-		e.ctxs[c.ctx] = c
+		e.addConn(c)
 		e.markConnDirty(c)
 	}
 	dropped := false
@@ -632,5 +431,5 @@ func (e *Engine) ApplyFlowDelta(data []byte) (bool, error) {
 	if e.delta != nil && (nt > 0 || closed) {
 		e.delta.dirtyInterp = true
 	}
-	return dropped, dec.Err()
+	return dropped, nil
 }

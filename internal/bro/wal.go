@@ -3,8 +3,10 @@
 // and every log line — O(all state) per interval. The API here instead
 // tracks *which* state changed since the last flush (dirty marks placed at
 // the engine's mutation points, plus container mutation journals) and
-// serializes only that: AppendDelta emits one O(changed-state) record, and
-// ApplyDelta replays it deterministically onto a restored base snapshot.
+// AppendDelta emits one O(changed-state) state record — the same layout a
+// checkpoint carries (checkpoint.go), written against the previous flush
+// instead of the empty engine. ApplyDelta replays it through the same
+// reader RestoreEngine uses.
 //
 // Checkpoint cost model under WAL mode:
 //
@@ -33,7 +35,6 @@ package bro
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"hilti/internal/rt/container"
 	"hilti/internal/rt/snapshot"
@@ -252,7 +253,7 @@ func newInterpCache(v Val) *interpCache {
 	c := &interpCache{}
 	if t, ok := v.(*TableVal); ok {
 		c.obj = t
-		c.entries, c.order, c.ok = tableEntryBlobs(t)
+		c.entries, c.order, c.ok = tableEntryBlobs(t, "")
 		if c.ok {
 			return c
 		}
@@ -272,14 +273,16 @@ func encodeInterpGlobal(v Val) ([]byte, bool) {
 	return buf.Bytes(), true
 }
 
-// tableEntryBlobs encodes each live entry of t, keyed by its canonical
-// key string, preserving insertion order.
-func tableEntryBlobs(t *TableVal) (map[string][]byte, []string, bool) {
-	entries := make(map[string][]byte, t.Len())
-	order := make([]string, 0, t.Len())
-	good := true
+// tableEntryBlobs encodes t's live entries — all of them, or only flow
+// uid's when uid is set (see entryMatchesUID) — keyed by canonical key
+// string, in insertion order. ok is false when an entry cannot be
+// encoded. An entry blob holds the key width, the keys, the yield, and
+// the touch time; table diffs and flow extracts both carry entries so.
+func tableEntryBlobs(t *TableVal, uid string) (entries map[string][]byte, order []string, ok bool) {
+	entries = make(map[string][]byte, t.Len())
+	order = make([]string, 0, t.Len())
 	for _, en := range t.order {
-		if en.deleted {
+		if en.deleted || (uid != "" && !entryMatchesUID(en, uid)) {
 			continue
 		}
 		var buf bytes.Buffer
@@ -291,179 +294,86 @@ func tableEntryBlobs(t *TableVal) (map[string][]byte, []string, bool) {
 		encodeVal(enc, en.yield, 1)
 		enc.I64(en.touched)
 		if enc.Err() != nil {
-			good = false
-			break
+			return entries, order, false
 		}
 		entries[en.keyStr] = buf.Bytes()
 		order = append(order, en.keyStr)
 	}
-	return entries, order, good
+	return entries, order, true
 }
 
 // --- delta encoding ------------------------------------------------------------
 
 // AppendDelta serializes everything that changed since the last flush (or
-// ResetDeltaBase) into one self-contained record, advancing the base so
-// the next call describes only subsequent changes. The caller appends the
-// returned bytes to a wal.Log. An error means the delta cannot express the
-// current state (in-flight binpac parse); the caller should re-base with a
-// full snapshot once possible.
+// ResetDeltaBase) into one self-contained state record, advancing the
+// base so the next call describes only subsequent changes. The caller
+// appends the returned bytes to a wal.Log. An error means the delta cannot
+// express the current state (in-flight binpac parse); the caller should
+// re-base with a full snapshot once possible.
 func (e *Engine) AppendDelta() ([]byte, error) {
-	ds := e.delta
-	if ds == nil {
+	if e.delta == nil {
 		return nil, fmt.Errorf("bro: AppendDelta without ResetDeltaBase")
 	}
-	for _, c := range ds.dirtyConns {
-		if c.inFlightParse() {
-			return nil, fmt.Errorf("bro: cannot delta connection %s: in-flight binpac parse state", c.uid)
-		}
-	}
 	var buf bytes.Buffer
-	enc := snapshot.NewRawEncoder(&buf)
-
-	// Meta: clocks and counters, unconditionally (16 fixed words).
-	enc.I64(e.now)
-	enc.I64(e.nextCtx)
-	enc.U64(e.packets.Load())
-	enc.U64(e.events.Load())
-	enc.U64(e.parseErrs.Load())
-	enc.U64(e.budgetBlown.Load())
-	enc.U64(e.quarDropped.Load())
-	enc.U64(e.flowsOpened.Load())
-	enc.U64(e.flowsClosed.Load())
-	enc.U64(e.Logs.Written())
-
-	// Quarantine marks.
-	qvids := make([]uint64, 0, len(ds.quarTouched))
-	for vid := range ds.quarTouched {
-		qvids = append(qvids, vid)
-	}
-	sort.Slice(qvids, func(i, j int) bool { return qvids[i] < qvids[j] })
-	enc.U32(uint32(len(qvids)))
-	for _, vid := range qvids {
-		enc.U64(vid)
-		n, present := e.quarantined[vid]
-		enc.Bool(present)
-		enc.U64(n)
-	}
-
-	// Log tails: only lines beyond the flushed watermark.
-	var snames []string
-	for name, st := range e.Logs.streams {
-		if len(st.lines) > ds.flushed[name] {
-			snames = append(snames, name)
-		}
-	}
-	sort.Strings(snames)
-	enc.U32(uint32(len(snames)))
-	for _, name := range snames {
-		st := e.Logs.streams[name]
-		enc.String(name)
-		tail := st.lines[ds.flushed[name]:]
-		enc.U32(uint32(len(tail)))
-		for _, l := range tail {
-			enc.String(l)
-		}
-		ds.flushed[name] = len(st.lines)
-	}
-
-	e.appendInterpDeltas(enc, ds)
-	e.appendExecDeltas(enc, ds, 0)
-	e.appendExecDeltas(enc, ds, 1)
-
-	// Closed then dirty connections, sorted for determinism.
-	closed := make([]int64, 0, len(ds.closedCtxs))
-	for ctx := range ds.closedCtxs {
-		closed = append(closed, ctx)
-	}
-	sort.Slice(closed, func(i, j int) bool { return closed[i] < closed[j] })
-	enc.U32(uint32(len(closed)))
-	for _, ctx := range closed {
-		enc.I64(ctx)
-	}
-	dirty := make([]*conn, 0, len(ds.dirtyConns))
-	for _, c := range ds.dirtyConns {
-		dirty = append(dirty, c)
-	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].ctx < dirty[j].ctx })
-	enc.U32(uint32(len(dirty)))
-	for _, c := range dirty {
-		encodeConn(enc, c)
-	}
-
-	if err := enc.Err(); err != nil {
+	if err := e.writeRecord(snapshot.NewRawEncoder(&buf), false); err != nil {
 		return nil, err
 	}
-	ds.dirtyConns = map[int64]*conn{}
-	ds.closedCtxs = map[int64]bool{}
-	ds.quarTouched = map[uint64]bool{}
 	return buf.Bytes(), nil
 }
 
-// appendInterpDeltas emits changed interpreter globals: table globals as
+// interpDeltas returns the changed interpreter globals: table globals as
 // per-entry diffs, everything else as whole-value blobs when the bytes
 // differ from the cached base.
-func (e *Engine) appendInterpDeltas(enc *snapshot.Encoder, ds *deltaState) {
-	type emission struct {
-		name string
-		mode byte
-		body []byte
+func (ds *deltaState) interpDeltas(e *Engine) []globalRec {
+	if !ds.dirtyInterp {
+		return nil
 	}
-	var out []emission
-	if ds.dirtyInterp {
-		names := make([]string, 0, len(ds.interp))
-		for name := range ds.interp {
-			names = append(names, name)
+	ds.dirtyInterp = false
+	var out []globalRec
+	for _, name := range sortedKeys(ds.interp) {
+		c := ds.interp[name]
+		v := e.interp.Globals[name]
+		if t, ok := v.(*TableVal); ok && c.obj == any(t) {
+			if body, changed := diffTable(c, t); changed {
+				out = append(out, globalRec{name: name, mode: deltaTableDiff, body: body})
+			}
+			continue
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			c := ds.interp[name]
-			v := e.interp.Globals[name]
-			if t, ok := v.(*TableVal); ok && c.obj == any(t) {
-				if body, changed := diffTable(c, t); changed {
-					out = append(out, emission{name, deltaTableDiff, body})
-				}
-				continue
-			}
-			blob, okE := encodeInterpGlobal(v)
-			if !okE {
-				// Unserializable now: degrade exactly as Checkpoint would by
-				// leaving the restored side at its base value.
-				continue
-			}
-			if c.ok && bytes.Equal(blob, c.blob) {
-				continue
-			}
-			*c = interpCache{blob: blob, ok: true}
-			if t, ok := v.(*TableVal); ok {
-				// Rebuild entry cache so later flushes diff incrementally.
-				if entries, order, tok := tableEntryBlobs(t); tok {
-					c.obj, c.entries, c.order = t, entries, order
-				}
-			}
-			out = append(out, emission{name, deltaWhole, blob})
+		blob, okE := encodeInterpGlobal(v)
+		if !okE {
+			// Unserializable now: degrade exactly as Checkpoint does by
+			// leaving the restored side at its base value.
+			continue
 		}
-		ds.dirtyInterp = false
+		if c.ok && bytes.Equal(blob, c.blob) {
+			continue
+		}
+		*c = interpCache{blob: blob, ok: true}
+		if t, ok := v.(*TableVal); ok {
+			// Rebuild entry cache so later flushes diff incrementally.
+			if entries, order, tok := tableEntryBlobs(t, ""); tok {
+				c.obj, c.entries, c.order = t, entries, order
+			}
+		}
+		out = append(out, globalRec{name: name, mode: deltaWhole, body: blob})
 	}
-	enc.U32(uint32(len(out)))
-	for _, em := range out {
-		enc.String(em.name)
-		enc.U8(em.mode)
-		enc.Bytes(em.body)
-	}
+	return out
 }
 
 // diffTable computes a per-entry diff of t against the cached base,
-// updating the cache in place. It falls back to nil,false (no emission,
-// caller re-encodes whole) never — reorders instead rebuild the cache and
-// emit the full entry set as upserts following a full delete, which keeps
-// the diff self-contained.
+// updating the cache in place. changed is false when nothing changed, or
+// when an entry cannot be encoded (the global then degrades to its base
+// value). A reorder — a key deleted and reinserted — cannot be expressed
+// as in-place upserts, so it is emitted as a delete of every base entry
+// followed by the full entry set as upserts, which keeps the diff
+// self-contained.
 func diffTable(c *interpCache, t *TableVal) (body []byte, changed bool) {
-	entries, order, ok := tableEntryBlobs(t)
+	entries, order, ok := tableEntryBlobs(t, "")
 	if !ok {
-		return nil, false // unencodable entries: degrade, keep base
+		return nil, false
 	}
-	var dels, ups []string
+	var dels []string
+	var ups [][]byte
 	for _, ks := range c.order {
 		if _, live := entries[ks]; !live {
 			dels = append(dels, ks)
@@ -472,12 +382,11 @@ func diffTable(c *interpCache, t *TableVal) (body []byte, changed bool) {
 	for _, ks := range order {
 		old, had := c.entries[ks]
 		if !had || !bytes.Equal(old, entries[ks]) {
-			ups = append(ups, ks)
+			ups = append(ups, entries[ks])
 		}
 	}
 	// Order consistency: surviving base entries in base order, new keys
-	// appended. A reorder (delete + reinsert of the same key) cannot be
-	// expressed as in-place upserts, so emit a full rewrite instead.
+	// appended.
 	expected := make([]string, 0, len(order))
 	for _, ks := range c.order {
 		if _, live := entries[ks]; live {
@@ -495,41 +404,48 @@ func diffTable(c *interpCache, t *TableVal) (body []byte, changed bool) {
 	}
 	if reordered {
 		dels = append([]string(nil), c.order...)
-		ups = order
+		ups = ups[:0]
+		for _, ks := range order {
+			ups = append(ups, entries[ks])
+		}
 	}
 	if len(dels) == 0 && len(ups) == 0 {
 		return nil, false
 	}
-	var buf bytes.Buffer
-	sub := snapshot.NewRawEncoder(&buf)
-	sub.U32(uint32(len(dels)))
-	for _, ks := range dels {
-		sub.String(ks)
-	}
-	sub.U32(uint32(len(ups)))
-	for _, ks := range ups {
-		sub.Bytes(entries[ks])
-	}
 	c.entries, c.order = entries, order
-	return buf.Bytes(), true
+	return encodeTableDiff(dels, ups), true
 }
 
-// appendExecDeltas emits changed VM globals for executor `which` (0 =
+// encodeTableDiff writes a table diff body: the canonical key strings of
+// deleted entries, then the upserted entry blobs (tableEntryBlobs layout).
+// Delta records and per-flow filtered records share it.
+func encodeTableDiff(dels []string, ups [][]byte) []byte {
+	var buf bytes.Buffer
+	enc := snapshot.NewRawEncoder(&buf)
+	encodeStrings(enc, dels)
+	enc.U32(uint32(len(ups)))
+	for _, eb := range ups {
+		enc.Bytes(eb)
+	}
+	return buf.Bytes()
+}
+
+// readTableDiff decodes an encodeTableDiff body.
+func readTableDiff(body []byte) (dels []string, ups [][]byte, err error) {
+	dec := snapshot.NewRawDecoder(body)
+	dels = decodeStrings(dec)
+	nup := dec.Len(4)
+	for i := 0; i < nup && dec.Err() == nil; i++ {
+		ups = append(ups, dec.Bytes())
+	}
+	return dels, ups, dec.Err()
+}
+
+// execDeltas returns the changed VM globals of executor `which` (0 =
 // scripts, 1 = parsers): journal ops for clean container globals, blob
 // diffs otherwise.
-func (e *Engine) appendExecDeltas(enc *snapshot.Encoder, ds *deltaState, which int) {
-	globals := execOf(e, which)
-	enc.Bool(globals != nil)
-	if globals == nil {
-		return
-	}
-	enc.I64(int64(execTM(e, which).Now()))
-	type emission struct {
-		idx  int
-		mode byte
-		body []byte
-	}
-	var out []emission
+func (ds *deltaState) execDeltas(globals []values.Value, which int) []globalRec {
+	var out []globalRec
 	for i := range ds.exec[which] {
 		gc := &ds.exec[which][i]
 		if gc.obj != nil && globals[i].O != gc.obj {
@@ -544,7 +460,7 @@ func (e *Engine) appendExecDeltas(enc *snapshot.Encoder, ds *deltaState, which i
 				sub := snapshot.NewRawEncoder(&buf)
 				sub.U32(uint32(gc.nops))
 				sub.Raw(gc.opsBuf.Bytes())
-				out = append(out, emission{i, deltaJournal, buf.Bytes()})
+				out = append(out, globalRec{idx: i, mode: deltaJournal, body: buf.Bytes()})
 				gc.opsBuf.Reset()
 				gc.nops = 0
 			}
@@ -570,15 +486,10 @@ func (e *Engine) appendExecDeltas(enc *snapshot.Encoder, ds *deltaState, which i
 			continue
 		}
 		gc.blob, gc.ok = blob, true
-		out = append(out, emission{i, deltaWhole, blob})
+		out = append(out, globalRec{idx: i, mode: deltaWhole, body: blob})
 	}
 	ds.dirtyExec[which] = false
-	enc.U32(uint32(len(out)))
-	for _, em := range out {
-		enc.U32(uint32(em.idx))
-		enc.U8(em.mode)
-		enc.Bytes(em.body)
-	}
+	return out
 }
 
 // --- delta application ---------------------------------------------------------
@@ -589,78 +500,11 @@ func (e *Engine) appendExecDeltas(enc *snapshot.Encoder, ds *deltaState, which i
 // ApplyDelta does not maintain delta tracking; a caller that resumes WAL
 // mode afterwards re-bases with Checkpoint + ResetDeltaBase.
 func (e *Engine) ApplyDelta(data []byte) error {
-	dec := snapshot.NewRawDecoder(data)
-	e.now = dec.I64()
-	e.nextCtx = dec.I64()
-	e.packets.Store(dec.U64())
-	e.events.Store(dec.U64())
-	e.parseErrs.Store(dec.U64())
-	e.budgetBlown.Store(dec.U64())
-	e.quarDropped.Store(dec.U64())
-	e.flowsOpened.Store(dec.U64())
-	e.flowsClosed.Store(dec.U64())
-	e.Logs.written.Store(dec.U64())
-
-	nq := dec.Len(10)
-	for i := 0; i < nq && dec.Err() == nil; i++ {
-		vid := dec.U64()
-		present := dec.Bool()
-		n := dec.U64()
-		if present {
-			e.quarantined[vid] = n
-		} else {
-			delete(e.quarantined, vid)
-		}
-	}
-
-	ns := dec.Len(8)
-	for i := 0; i < ns && dec.Err() == nil; i++ {
-		name := dec.String()
-		nl := dec.Len(4)
-		st, ok := e.Logs.streams[name]
-		if !ok {
-			st = &logStream{name: name}
-			e.Logs.streams[name] = st
-		}
-		for j := 0; j < nl && dec.Err() == nil; j++ {
-			st.lines = append(st.lines, dec.String())
-		}
-	}
-
-	if err := e.applyInterpDeltas(dec); err != nil {
+	r, err := readRecord(snapshot.NewRawDecoder(data), data)
+	if err != nil {
 		return err
 	}
-	if err := e.applyExecDeltas(dec, 0); err != nil {
-		return err
-	}
-	if err := e.applyExecDeltas(dec, 1); err != nil {
-		return err
-	}
-
-	ncl := dec.Len(8)
-	for i := 0; i < ncl && dec.Err() == nil; i++ {
-		ctx := dec.I64()
-		if c, ok := e.ctxs[ctx]; ok {
-			e.dropConnState(c)
-		}
-	}
-	ndc := dec.Len(keyBytes + 10)
-	for i := 0; i < ndc && dec.Err() == nil; i++ {
-		c, err := decodeConn(dec, e)
-		if err != nil {
-			return err
-		}
-		if old, ok := e.ctxs[c.ctx]; ok {
-			e.dropConnState(old)
-		}
-		ck, _ := c.key.Canonical()
-		if old, ok := e.conns[ck]; ok {
-			e.dropConnState(old)
-		}
-		e.conns[ck] = c
-		e.ctxs[c.ctx] = c
-	}
-	return dec.Err()
+	return e.applyRecord(r)
 }
 
 // dropConnState removes a connection during delta replay, releasing its
@@ -674,124 +518,43 @@ func (e *Engine) dropConnState(c *conn) {
 	delete(e.ctxs, c.ctx)
 }
 
-func (e *Engine) applyInterpDeltas(dec *snapshot.Decoder) error {
-	ng := dec.Len(6)
-	for i := 0; i < ng && dec.Err() == nil; i++ {
-		name := dec.String()
-		mode := dec.U8()
-		body := dec.Bytes()
-		if dec.Err() != nil {
-			break
-		}
-		switch mode {
-		case deltaWhole:
-			sub := snapshot.NewRawDecoder(body)
-			v := decodeVal(sub, e.interp, 0)
-			if err := sub.Err(); err != nil {
-				return err
-			}
-			if v != nil || !isFuncGlobal(e.interp.Globals[name]) {
-				e.interp.Globals[name] = v
-			}
-		case deltaTableDiff:
-			t, ok := e.interp.Globals[name].(*TableVal)
-			if !ok {
-				return fmt.Errorf("bro: delta table diff for non-table global %q", name)
-			}
-			if err := applyTableDiff(t, body, e.interp); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("bro: unknown interp delta mode %d", mode)
-		}
-	}
-	return dec.Err()
-}
-
+// applyTableDiff applies an encodeTableDiff body to t.
 func applyTableDiff(t *TableVal, body []byte, ip *Interp) error {
-	sub := snapshot.NewRawDecoder(body)
-	ndel := sub.Len(4)
-	for i := 0; i < ndel && sub.Err() == nil; i++ {
-		ks := sub.String()
+	dels, ups, err := readTableDiff(body)
+	if err != nil {
+		return err
+	}
+	for _, ks := range dels {
 		if en, ok := t.entries[ks]; ok {
 			en.deleted = true
 			delete(t.entries, ks)
 		}
 	}
-	nup := sub.Len(4)
-	for i := 0; i < nup && sub.Err() == nil; i++ {
-		blob := sub.Bytes()
-		if sub.Err() != nil {
-			break
-		}
-		ed := snapshot.NewRawDecoder(blob)
-		nk := int(ed.U16())
-		if ed.Err() != nil || nk > ed.Remaining() {
-			return fmt.Errorf("bro: implausible delta table key width %d", nk)
-		}
-		key := make([]Val, nk)
-		for j := range key {
-			key[j] = decodeVal(ed, ip, 1)
-		}
-		yield := decodeVal(ed, ip, 1)
-		touched := ed.I64()
-		if err := ed.Err(); err != nil {
+	for _, eb := range ups {
+		if err := upsertEntry(t, eb, ip); err != nil {
 			return err
 		}
-		ks := KeyString(key)
-		if en, ok := t.entries[ks]; ok {
-			en.key, en.yield, en.touched = key, yield, touched
-			continue
-		}
-		en := &tableEntry{key: key, keyStr: ks, yield: yield, touched: touched}
-		t.entries[ks] = en
-		t.order = append(t.order, en)
 	}
-	return sub.Err()
+	return nil
 }
 
-func (e *Engine) applyExecDeltas(dec *snapshot.Decoder, which int) error {
-	had := dec.Bool()
-	if dec.Err() != nil {
-		return dec.Err()
+// upsertEntry decodes one entry blob (tableEntryBlobs layout) and
+// upserts it into t, preserving the recorded touch time so &create_expire
+// / &read_expire fire exactly as they would have without the checkpoint
+// or migration.
+func upsertEntry(t *TableVal, blob []byte, ip *Interp) error {
+	ed := snapshot.NewRawDecoder(blob)
+	en := decodeEntry(ed, ip, 1)
+	if en == nil {
+		return ed.Err()
 	}
-	globals := execOf(e, which)
-	if had != (globals != nil) {
-		return fmt.Errorf("bro: delta/config executor mismatch")
-	}
-	if globals == nil {
+	if old, ok := t.entries[en.keyStr]; ok {
+		old.key, old.yield, old.touched = en.key, en.yield, en.touched
 		return nil
 	}
-	mgr := execTM(e, which)
-	mgr.SetNow(timer.Time(dec.I64()))
-	ng := dec.Len(9)
-	for i := 0; i < ng && dec.Err() == nil; i++ {
-		idx := int(dec.U32())
-		mode := dec.U8()
-		body := dec.Bytes()
-		if dec.Err() != nil {
-			break
-		}
-		if idx < 0 || idx >= len(globals) {
-			return fmt.Errorf("bro: delta references VM global %d of %d", idx, len(globals))
-		}
-		switch mode {
-		case deltaWhole:
-			sub := snapshot.NewRawDecoder(body, snapshot.WithTimerMgr(mgr))
-			v := sub.Value()
-			if err := sub.Err(); err != nil {
-				return err
-			}
-			globals[idx] = v
-		case deltaJournal:
-			if err := applyJournalOps(globals[idx], body, mgr); err != nil {
-				return fmt.Errorf("bro: VM global %d: %w", idx, err)
-			}
-		default:
-			return fmt.Errorf("bro: unknown exec delta mode %d", mode)
-		}
-	}
-	return dec.Err()
+	t.entries[en.keyStr] = en
+	t.order = append(t.order, en)
+	return nil
 }
 
 func applyJournalOps(v values.Value, body []byte, mgr *timer.Mgr) error {

@@ -2,9 +2,14 @@ package bro
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 
+	"hilti/internal/pkt/flow"
+	"hilti/internal/pkt/gen"
+	"hilti/internal/pkt/layers"
 	"hilti/internal/pkt/pcap"
+	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/wal"
 )
 
@@ -303,4 +308,171 @@ func TestWALCorruptSegmentRejected(t *testing.T) {
 	if _, err := RestoreEngineWAL(cfg, snap, alien.Segments()); err == nil {
 		t.Error("restore accepted a record of unknown kind")
 	}
+}
+
+// TestDeltaRecordAllSections: one delta record spanning many packets
+// carries quarantine marks, log tails, close tombstones and several dirty
+// connections at once. Replaying it must land on the live engine's exact
+// state, and its per-flow projection must move exactly the migrating
+// flow: applied to a target holding the flow's pre-copy, it reproduces
+// the source's ExtractFlow bytes and nothing of any other flow.
+func TestDeltaRecordAllSections(t *testing.T) {
+	// Two HTTP traces from different seeds over the same period, so
+	// sessions overlap, plus DNS.
+	hc := gen.DefaultHTTPConfig()
+	hc.Sessions = 30
+	hc2 := hc
+	hc2.Seed = 2
+	dc := gen.DefaultDNSConfig()
+	dc.Transactions = 100
+	pkts := append(append(gen.GenerateHTTP(hc), gen.GenerateHTTP(hc2)...), gen.GenerateDNS(dc)...)
+	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].Time.Before(pkts[j].Time) })
+	cfg := Config{Parser: "standard", ScriptExec: "interp",
+		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true, PanicPort: 31337}
+
+	// The migrating flow: the HTTP flow spanning the most packets. The
+	// record window runs from the middle of its packets to just before
+	// its teardown, so it stays open on the source.
+	idx := map[flow.Key][]int{}
+	var keys []flow.Key
+	for i := range pkts {
+		if key, ok := flow.FromFrame(pkts[i].Data); ok && key.Proto == layers.IPProtoTCP {
+			ck, _ := key.Canonical()
+			if idx[ck] == nil {
+				keys = append(keys, ck)
+			}
+			idx[ck] = append(idx[ck], i)
+		}
+	}
+	var mig flow.Key
+	best := -1
+	for _, k := range keys {
+		if is := idx[k]; is[len(is)-1]-is[0] > best {
+			mig, best = k, is[len(is)-1]-is[0]
+		}
+	}
+	mi := idx[mig]
+	base, end := mi[len(mi)/2], mi[len(mi)-3]
+
+	src, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < base; i++ {
+		src.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
+	}
+	snap := checkpointBytes(t, src)
+	if err := src.ResetDeltaBase(); err != nil {
+		t.Fatal(err)
+	}
+	pre, err := src.ExtractFlow(mig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uid, err := FlowBlobUID(pre)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter := NewFlowDeltaFilter(uid)
+	if err := filter.SeedConnBlob(pre); err != nil {
+		t.Fatal(err)
+	}
+	target, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := target.InjectFlow(pre); err != nil {
+		t.Fatal(err)
+	}
+
+	a, b := [4]byte{10, 9, 0, 1}, [4]byte{10, 9, 0, 2}
+	for i := base; i < end; i++ {
+		ts := pkts[i].Time.UnixNano()
+		src.SafeProcessPacket(ts, pkts[i].Data)
+		if i == (base+end)/2 {
+			// A faulting flow: the first packet quarantines it, the
+			// rest are counted against the mark.
+			for j := 0; j < 3; j++ {
+				src.SafeProcessPacket(ts, tcpDataFrame(a, b, 40000, 31337, uint32(100+8*j), []byte("CRASHME!")))
+			}
+		}
+	}
+	rec, err := src.AppendDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := readRecord(snapshot.NewRawDecoder(rec), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.quar) == 0 || len(r.logs) == 0 || len(r.closed) == 0 || len(r.conns) < 2 {
+		t.Fatalf("record misses a section: %d quarantine marks, %d log tails, %d tombstones, %d dirty connections",
+			len(r.quar), len(r.logs), len(r.closed), len(r.conns))
+	}
+
+	restored, err := RestoreEngine(cfg, bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ApplyDelta(rec); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(checkpointBytes(t, restored), checkpointBytes(t, src)) {
+		t.Error("replayed record differs from the live engine")
+	}
+
+	t.Logf("record: %d quarantine marks, %d log tails, %d tombstones, %d dirty connections, %d globals",
+		len(r.quar), len(r.logs), len(r.closed), len(r.conns), len(r.interp))
+	slice, err := filter.Filter(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slice == nil {
+		t.Fatal("record carries nothing for the migrating flow")
+	}
+	if closed, err := target.ApplyFlowDelta(slice); err != nil || closed {
+		t.Fatalf("ApplyFlowDelta: closed=%v err=%v", closed, err)
+	}
+	want, err := src.ExtractFlow(mig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := target.ExtractFlow(mig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(withoutCtx(t, got), withoutCtx(t, want)) {
+		t.Error("target's flow state differs from the source's")
+	}
+	if flows := target.MigratableFlows(); len(flows) != 1 {
+		t.Errorf("target holds %d flows, want only the migrating one", len(flows))
+	}
+	for name, v := range target.interp.Globals {
+		if tv, ok := v.(*TableVal); ok {
+			for _, en := range tv.order {
+				if !en.deleted && !entryMatchesUID(en, uid) {
+					t.Errorf("target table %s holds another flow's entry %q", name, en.keyStr)
+				}
+			}
+		}
+	}
+	if target.Packets() != 0 || len(target.quarantined) != 0 || target.Logs.Written() != 0 {
+		t.Error("engine-global state moved with the flow")
+	}
+}
+
+// withoutCtx zeroes the instance-local ctx in an ExtractFlow blob, which
+// legitimately differs between the source and target of a migration.
+func withoutCtx(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	dec := snapshot.NewRawDecoder(blob)
+	decodeKey(dec)
+	_ = dec.String()
+	if dec.Err() != nil || dec.Remaining() < 8 {
+		t.Fatalf("malformed flow blob: %v", dec.Err())
+	}
+	out := bytes.Clone(blob)
+	off := len(blob) - dec.Remaining()
+	clear(out[off : off+8])
+	return out
 }

@@ -6,6 +6,7 @@
 package flow
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"hilti/internal/pkt/layers"
@@ -114,6 +115,37 @@ func (k Key) Hash() uint64 {
 	mix(byte(c.DstPort))
 	mix(c.Proto)
 	return h
+}
+
+// KeyLen is the length of a Key's wire form.
+const KeyLen = 16 + 16 + 2 + 2 + 1
+
+// Wire returns the key's fixed-length wire form: source address,
+// destination address, big-endian source and destination ports, and
+// protocol. Engine checkpoints, WAL records, pipeline shard blobs and
+// migration frames all carry keys in this one layout.
+func (k Key) Wire() [KeyLen]byte {
+	var raw [KeyLen]byte
+	copy(raw[0:16], k.SrcIP[:])
+	copy(raw[16:32], k.DstIP[:])
+	binary.BigEndian.PutUint16(raw[32:34], k.SrcPort)
+	binary.BigEndian.PutUint16(raw[34:36], k.DstPort)
+	raw[36] = k.Proto
+	return raw
+}
+
+// KeyFromWire decodes Wire's form. Input of any other length is an error.
+func KeyFromWire(raw []byte) (Key, error) {
+	var k Key
+	if len(raw) != KeyLen {
+		return k, fmt.Errorf("flow: key is %d bytes, want %d", len(raw), KeyLen)
+	}
+	copy(k.SrcIP[:], raw[0:16])
+	copy(k.DstIP[:], raw[16:32])
+	k.SrcPort = binary.BigEndian.Uint16(raw[32:34])
+	k.DstPort = binary.BigEndian.Uint16(raw[34:36])
+	k.Proto = raw[36]
+	return k, nil
 }
 
 // SrcAddr returns the source as a HILTI addr value.

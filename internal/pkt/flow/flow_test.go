@@ -108,6 +108,48 @@ func TestFromFrame(t *testing.T) {
 	}
 }
 
+// TestKeyWire: the wire form round-trips every key shape, keeps its
+// fixed layout (addresses, big-endian ports, protocol), and rejects input
+// of any other length.
+func TestKeyWire(t *testing.T) {
+	var v6 Key
+	for i := range v6.SrcIP {
+		v6.SrcIP[i], v6.DstIP[i] = byte(i), byte(0xF0|i)
+	}
+	v6.SrcPort, v6.DstPort, v6.Proto = 0xFFFF, 1, 17
+	for _, tc := range []struct {
+		name string
+		key  Key
+	}{
+		{"ipv4-tcp", sample()},
+		{"reversed", sample().Reverse()},
+		{"ipv6-udp", v6},
+		{"zero", Key{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := tc.key.Wire()
+			if got := int(raw[32])<<8 | int(raw[33]); got != int(tc.key.SrcPort) {
+				t.Fatalf("source port bytes %d, want %d", got, tc.key.SrcPort)
+			}
+			if raw[36] != tc.key.Proto {
+				t.Fatalf("protocol byte %d, want %d", raw[36], tc.key.Proto)
+			}
+			back, err := KeyFromWire(raw[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back != tc.key {
+				t.Fatalf("round trip: got %v, want %v", back, tc.key)
+			}
+		})
+	}
+	for _, n := range []int{0, KeyLen - 1, KeyLen + 1} {
+		if _, err := KeyFromWire(make([]byte, n)); err == nil {
+			t.Errorf("%d-byte key accepted", n)
+		}
+	}
+}
+
 func BenchmarkHash(b *testing.B) {
 	k := sample()
 	b.ReportAllocs()

@@ -924,7 +924,8 @@ func encodeShard(sl *wslot) ([]byte, error) {
 		fs := e.Value.(*flowState)
 		enc.U64(fs.vid)
 		enc.Bool(fs.hasKey)
-		enc.Bytes(rawKey(fs.key))
+		raw := fs.key.Wire()
+		enc.Bytes(raw[:])
 		enc.I64(int64(fs.idle.FireTime()))
 	}
 
@@ -969,7 +970,7 @@ func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 	for i := 0; i < nf && dec.Err() == nil; i++ {
 		vid := dec.U64()
 		hasKey := dec.Bool()
-		key, kerr := parseRawKey(dec.Bytes())
+		key, kerr := flow.KeyFromWire(dec.Bytes())
 		deadline := timer.Time(dec.I64())
 		if dec.Err() != nil {
 			break
@@ -990,33 +991,6 @@ func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 		hb = dec.Bytes()
 	}
 	return hb, hasH, dec.Err()
-}
-
-const keyBytes = 16 + 16 + 2 + 2 + 1
-
-func rawKey(k flow.Key) []byte {
-	raw := make([]byte, keyBytes)
-	copy(raw[0:16], k.SrcIP[:])
-	copy(raw[16:32], k.DstIP[:])
-	raw[32] = byte(k.SrcPort >> 8)
-	raw[33] = byte(k.SrcPort)
-	raw[34] = byte(k.DstPort >> 8)
-	raw[35] = byte(k.DstPort)
-	raw[36] = k.Proto
-	return raw
-}
-
-func parseRawKey(raw []byte) (flow.Key, error) {
-	var k flow.Key
-	if len(raw) != keyBytes {
-		return k, fmt.Errorf("pipeline: flow key is %d bytes, want %d", len(raw), keyBytes)
-	}
-	copy(k.SrcIP[:], raw[0:16])
-	copy(k.DstIP[:], raw[16:32])
-	k.SrcPort = uint16(raw[32])<<8 | uint16(raw[33])
-	k.DstPort = uint16(raw[34])<<8 | uint16(raw[35])
-	k.Proto = raw[36]
-	return k, nil
 }
 
 // Restore rebuilds a pipeline from a Checkpoint stream. cfg.RestoreHandler

@@ -117,7 +117,8 @@ func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, ha
 	enc.I64(tsNs)
 	enc.U64(vid)
 	enc.Bool(hasKey)
-	enc.Bytes(rawKey(key))
+	raw := key.Wire()
+	enc.Bytes(raw[:])
 	enc.U32(uint32(frameLen))
 	enc.U8(outcome)
 	enc.U8(uint8(tier))
@@ -305,7 +306,7 @@ func (p *Pipeline) replayShardRecord(ws *wstate, dc DeltaCheckpointer, payload [
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	key, err := parseRawKey(rk)
+	key, err := flow.KeyFromWire(rk)
 	if err != nil {
 		return err
 	}
