@@ -6,8 +6,8 @@
 //	A. verdict identity: the compiled automaton against the permanent
 //	   linear reference, byte-for-byte (FNV over the verdict stream), at
 //	   256 / 10k / 100k hosted rules;
-//	B. lookup cost: the classifier table evaluated as a linear list, as
-//	   the prefix-trie index, and through the compiled plane, per scale —
+//	B. lookup cost: the classifier table evaluated as a linear list and
+//	   through the compiled plane, per scale —
 //	   the table EXPERIMENTS.md cites (with -rules-json, the rows feed the
 //	   -rules-baseline regression check);
 //	C. hot reload under live load: a shadow-window swap injected while a
@@ -215,13 +215,12 @@ func minTime(reps int, fn func()) time.Duration {
 }
 
 // rulesRow is one scale's lookup-cost measurement: the same classifier
-// table evaluated as a linear first-match list, as the prefix-trie index,
-// and through the compiled rule plane.
+// table evaluated as a linear first-match list and through the compiled
+// rule plane.
 type rulesRow struct {
 	Scale            int     `json:"scale"`
 	Headers          int     `json:"headers"`
 	LinearNsPerPkt   float64 `json:"linear_ns_per_pkt"`
-	TrieNsPerPkt     float64 `json:"trie_ns_per_pkt"`
 	CompiledNsPerPkt float64 `json:"compiled_ns_per_pkt"`
 }
 
@@ -288,11 +287,9 @@ func (h *harness) rules() {
 			st.Rules, st.SrcNodes, st.DstNodes, st.Tails, st.TailRefs, len(hs), ah.Sum64(), diverge)
 		check(same, fmt.Sprintf("%d rules: compiled diverged from linear on %d verdicts", scale, diverge))
 
-		// Lookup cost: the classifier table alone, three ways, same probes.
+		// Lookup cost: the classifier table alone, two ways, same probes.
 		c1 := rulesClassifier(scale, rand.New(rand.NewSource(3)))
 		c1.Compile()
-		c2 := rulesClassifier(scale, rand.New(rand.NewSource(3)))
-		c2.CompileIndexed()
 		clsProg, err := ruleplane.FromClassifier(c1, clsRoles, "classifier")
 		must(err)
 		clsAuto, err := ruleplane.Compile([]ruleplane.Program{clsProg})
@@ -317,11 +314,6 @@ func (h *harness) rules() {
 				c1.Get(probes[i].src, probes[i].dst, probes[i].port) //nolint:errcheck
 			}
 		})
-		trieT := minTime(reps, func() {
-			for i := range probes {
-				c2.Get(probes[i].src, probes[i].dst, probes[i].port) //nolint:errcheck
-			}
-		})
 		cv := make([]int64, 1)
 		cm := make([]int32, 1)
 		compT := minTime(reps, func() {
@@ -333,14 +325,13 @@ func (h *harness) rules() {
 		rows = append(rows, rulesRow{
 			Scale: scale, Headers: len(probes),
 			LinearNsPerPkt:   float64(linT.Nanoseconds()) / np,
-			TrieNsPerPkt:     float64(trieT.Nanoseconds()) / np,
 			CompiledNsPerPkt: float64(compT.Nanoseconds()) / np,
 		})
 	}
 	fmt.Println("    lookup cost (classifier table, ns/header):")
-	fmt.Println("      rules      linear        trie    compiled")
+	fmt.Println("      rules      linear    compiled")
 	for _, r := range rows {
-		fmt.Printf("    %7d  %10.0f  %10.0f  %10.0f\n", r.Scale, r.LinearNsPerPkt, r.TrieNsPerPkt, r.CompiledNsPerPkt)
+		fmt.Printf("    %7d  %10.0f  %10.0f\n", r.Scale, r.LinearNsPerPkt, r.CompiledNsPerPkt)
 	}
 	for _, r := range rows {
 		if r.Scale >= 10_000 {

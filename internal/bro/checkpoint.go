@@ -12,8 +12,8 @@
 // the empty engine — every connection dirty, every global whole, every
 // quarantine mark present, every log line a tail — behind a short header
 // naming the configuration it was taken under. writeRecord is the only
-// writer and readRecord the only reader: RestoreEngine, ApplyDelta and
-// the per-flow FlowDeltaFilter (migrate.go) all go through it.
+// writer and readRecord the only reader: RestoreEngine and ApplyDelta
+// both go through it.
 //
 // Record layout, in order:
 //
@@ -121,7 +121,7 @@ func RestoreEngine(cfg Config, r io.Reader) (*Engine, error) {
 			return nil, fmt.Errorf("bro: checkpoint has %d VM globals, program has %d", n, have)
 		}
 	}
-	rec, err := readRecord(dec, data)
+	rec, err := readRecord(dec)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +289,7 @@ func (e *Engine) writeRecord(enc *snapshot.Encoder, full bool) error {
 }
 
 // stateRecord is one decoded state record. readRecord checks its
-// structure; applyRecord and FlowDeltaFilter give it meaning.
+// structure; applyRecord gives it meaning.
 type stateRecord struct {
 	meta   [metaWords]uint64
 	quar   []quarMark
@@ -326,9 +326,8 @@ type execSection struct {
 	globals []globalRec
 }
 
-// readRecord decodes one state record from dec, which reads data (the
-// whole buffer, so connection records can be sliced out of it).
-func readRecord(dec *snapshot.Decoder, data []byte) (*stateRecord, error) {
+// readRecord decodes one state record from dec.
+func readRecord(dec *snapshot.Decoder) (*stateRecord, error) {
 	r := &stateRecord{}
 	for i := range r.meta {
 		r.meta[i] = dec.U64()
@@ -370,10 +369,7 @@ func readRecord(dec *snapshot.Decoder, data []byte) (*stateRecord, error) {
 	}
 	nc := dec.Len(flow.KeyLen + 10)
 	for i := 0; i < nc && dec.Err() == nil; i++ {
-		start := len(data) - dec.Remaining()
-		c := readConn(dec)
-		c.raw = data[start : len(data)-dec.Remaining()]
-		r.conns = append(r.conns, c)
+		r.conns = append(r.conns, readConn(dec))
 	}
 	if err := dec.Err(); err != nil {
 		return nil, err
@@ -544,7 +540,7 @@ func encodeConn(enc *snapshot.Encoder, c *conn) {
 }
 
 // connRecord is one decoded encodeConn record, before any analyzer is
-// attached; raw is its encoded span.
+// attached.
 type connRecord struct {
 	key                flow.Key
 	uid                string
@@ -555,7 +551,6 @@ type connRecord struct {
 	origHTTP, respHTTP analyzers.HTTPDirState
 	httpMethods        []string
 	methods            []string
-	raw                []byte
 }
 
 // readConn decodes one encodeConn record. Errors are left on dec.
@@ -878,8 +873,7 @@ func decodeVal(dec *snapshot.Decoder, ip *Interp, depth int) Val {
 		n := dec.Len(11) // u16 key len + at least one tag + yield tag + i64
 		for i := 0; i < n && dec.Err() == nil; i++ {
 			if en := decodeEntry(dec, ip, depth+1); en != nil {
-				t.entries[en.keyStr] = en
-				t.order = append(t.order, en)
+				t.restoreEntry(en)
 			}
 		}
 		return t

@@ -4,13 +4,15 @@
 // routing table; a migration moves one bucket's flows from their current
 // owner to another instance in two phases:
 //
-//	BeginMigration  — open the handoff session, pre-copy the bucket's
-//	                  analyzer state (WAL mode), record WAL cursors.
-//	                  The source keeps owning and processing the bucket.
-//	Complete        — quiesce the slice, ship the WAL delta tail (or a
-//	                  fresh full extract when the tail cannot be
-//	                  attributed per-flow), activate on the target,
-//	                  forget on the source, flip the routing table.
+//	BeginMigration  — open the handoff session. The source keeps owning
+//	                  and processing the bucket.
+//	Complete        — quiesce and extract the slice, ship it as one
+//	                  State blob, activate on the target, forget on the
+//	                  source, flip the routing table.
+//
+// A flow's state belongs to one worker's virtual thread, so the quiesced
+// extract is the whole handoff, and migration takes the same path whether
+// or not the pipelines keep a WAL.
 //
 // The routing flip is the commit point: until it happens no packet has
 // ever been routed to the target for the migrating flows, so any failure
@@ -35,7 +37,6 @@ import (
 	"hilti/internal/rt/migrate"
 	"hilti/internal/rt/ruleplane"
 	"hilti/internal/rt/snapshot"
-	"hilti/internal/rt/wal"
 )
 
 // ClusterConfig sizes the cluster.
@@ -59,9 +60,6 @@ type Cluster struct {
 	ledger   *migrate.Ledger
 	nextSess uint64
 	pending  map[int]uint64 // target instance -> open handoff session
-
-	tailHandoffs     uint64 // committed via the filtered WAL delta tail
-	fallbackHandoffs uint64 // committed via a fresh full extract
 }
 
 type clusterInstance struct {
@@ -239,27 +237,16 @@ type Migration struct {
 	from, to int
 	co       *migrate.Coordinator
 	id       uint64
-	precopy  bool // WAL pre-copy shipped; Complete tries the delta tail
-	cursors  []wal.Cursor
-	filters  []*flowFilter
-	byUID    map[string]*flowFilter
 	done     bool
 	err      error
-}
-
-// flowFilter pairs a pre-copied flow's delta filter with the virtual id
-// the target routes its filtered records by.
-type flowFilter struct {
-	f   *FlowDeltaFilter
-	vid uint64
 }
 
 func (m *Migration) match(vid uint64) bool { return m.c.table.BucketOf(vid) == m.bucket }
 
 // BeginMigration opens a handoff session moving bucket b to instance
-// `to`. In WAL mode the bucket's analyzer state is pre-copied now, while
-// the source keeps processing; Complete later ships only the delta tail.
-// Any failure aborts the session cleanly: the source retains everything.
+// `to`. It ships nothing: the source keeps processing the bucket until
+// Complete. Any failure aborts the session cleanly: the source retains
+// everything.
 func (c *Cluster) BeginMigration(b, to int, inj migrate.Injector) (*Migration, error) {
 	if b < 0 || b >= c.table.Buckets() {
 		return nil, fmt.Errorf("bro: bucket %d out of range", b)
@@ -277,10 +264,7 @@ func (c *Cluster) BeginMigration(b, to int, inj migrate.Injector) (*Migration, e
 		return nil, fmt.Errorf("bro: instance %d already receiving handoff %d", to, id)
 	}
 	c.nextSess++
-	m := &Migration{
-		c: c, bucket: b, from: from, to: to, id: c.nextSess,
-		byUID: map[string]*flowFilter{},
-	}
+	m := &Migration{c: c, bucket: b, from: from, to: to, id: c.nextSess}
 	m.co = migrate.NewCoordinator(epTransport{c.insts[to].ep}, migrate.Options{
 		ID: m.id, Bucket: b, Epoch: c.table.Epoch(),
 		MaxAttempts: c.ccfg.MaxAttempts, Injector: inj,
@@ -289,154 +273,48 @@ func (c *Cluster) BeginMigration(b, to int, inj migrate.Injector) (*Migration, e
 	if err := m.co.Begin(); err != nil {
 		return nil, m.fail(err)
 	}
-	if c.ccfg.Pipeline.WAL {
-		src := c.insts[from].par
-		pre, err := src.ExtractFlows(m.match)
-		if err != nil {
-			return nil, m.fail(err)
-		}
-		cursors, err := src.WALCursors()
-		if err != nil {
-			return nil, m.fail(err)
-		}
-		for _, hf := range pre.Handler {
-			uid, err := FlowBlobUID(hf.Blob)
-			if err != nil {
-				return nil, m.fail(err)
-			}
-			ff := &flowFilter{f: NewFlowDeltaFilter(uid), vid: hf.VID}
-			if err := ff.f.SeedConnBlob(hf.Blob); err != nil {
-				return nil, m.fail(err)
-			}
-			m.filters = append(m.filters, ff)
-			m.byUID[uid] = ff
-			blob, err := encodeWireFlow(hf)
-			if err != nil {
-				return nil, m.fail(err)
-			}
-			if err := m.co.Ship(blob); err != nil {
-				return nil, m.fail(err)
-			}
-		}
-		m.cursors = cursors
-		m.precopy = true
-	}
 	return m, nil
 }
 
-// Complete finishes the handoff: quiesce, ship the tail (or a fresh full
-// extract), activate, forget on the source, flip the routing table, and
-// record the ledger entry. After a nil return the target owns the bucket.
+// Complete finishes the handoff: quiesce and extract the slice, ship it,
+// activate, forget on the source, flip the routing table, and record the
+// ledger entry. After a nil return the target owns the bucket.
 func (m *Migration) Complete() error {
 	if m.done {
 		return m.err
 	}
 	src := m.c.insts[m.from].par
-	// The fresh extract is both the quiesce barrier and the authoritative
-	// slice: what the source forgets at commit, and — scheduling entries
-	// and quarantine marks always, analyzer state on the fallback path —
-	// what the target installs.
-	fresh, err := src.ExtractFlows(m.match)
+	// The extract is both the quiesce barrier and the authoritative slice:
+	// what the target installs and what the source forgets at commit.
+	slice, err := src.ExtractFlows(m.match)
 	if err != nil {
 		return m.fail(err)
 	}
-	var frames [][]byte
-	tail := false
-	if m.precopy {
-		frames = m.deltaTail(fresh)
-		tail = frames != nil
+	blob, err := encodeWireSlice(slice)
+	if err != nil {
+		return m.fail(err)
 	}
-	if frames == nil {
-		blob, err := encodeWireSlice(wireReplace, fresh)
-		if err != nil {
-			return m.fail(err)
-		}
-		frames = [][]byte{blob}
-	}
-	for _, fr := range frames {
-		if err := m.co.Ship(fr); err != nil {
-			return m.fail(err)
-		}
+	if err := m.co.Ship(blob); err != nil {
+		return m.fail(err)
 	}
 	if err := m.co.Activate(); err != nil {
 		return m.fail(err)
 	}
 	var forgetErr error
 	m.co.Commit(func() error { //nolint:errcheck // Commit resolves forward
-		forgetErr = src.ForgetFlows(fresh)
+		forgetErr = src.ForgetFlows(slice)
 		return forgetErr
 	})
 	m.c.table.Flip(m.bucket, m.to)
-	m.c.ledger.Commit(m.from, m.to, len(fresh.Handler))
+	m.c.ledger.Commit(m.from, m.to, len(slice.Handler))
 	// The flip resolved the session; free the endpoint for the next one.
 	tgt := m.c.insts[m.to]
 	tgt.ep.ReleaseSession(m.id)
 	delete(tgt.sink.installed, m.id)
 	delete(m.c.pending, m.to)
-	if tail {
-		m.c.tailHandoffs++
-	} else {
-		m.c.fallbackHandoffs++
-	}
 	m.done = true
 	m.err = nil
 	return forgetErr
-}
-
-// HandoffStats reports how committed migrations shipped their state:
-// via the filtered WAL delta tail, or via the fresh-full-extract fallback.
-func (c *Cluster) HandoffStats() (tail, fallback uint64) {
-	return c.tailHandoffs, c.fallbackHandoffs
-}
-
-// deltaTail builds the Complete-phase frames for the pre-copy path: the
-// per-flow filtered WAL tail plus the fresh scheduling slice. It returns
-// nil whenever exact per-flow attribution is impossible — a flow born
-// after the pre-copy, a whole-table rewrite, a re-based WAL — and the
-// caller falls back to shipping the fresh full extract instead.
-func (m *Migration) deltaTail(fresh *pipeline.FlowSlice) [][]byte {
-	for _, hf := range fresh.Handler {
-		uid, err := FlowBlobUID(hf.Blob)
-		if err != nil {
-			return nil
-		}
-		if _, ok := m.byUID[uid]; !ok {
-			return nil // born during the window: not pre-copied
-		}
-	}
-	src := m.c.insts[m.from].par
-	var frames [][]byte
-	for i := range m.cursors {
-		// Scan every record, not just the bucket's: a migrating flow can
-		// be mutated under another flow's packet (idle expiry, table
-		// expiry sweeps), and only the filter can attribute that.
-		recs, _, err := src.FlowDeltasSince(i, m.cursors[i], func(uint64) bool { return true })
-		if err != nil {
-			return nil
-		}
-		for _, rec := range recs {
-			for _, ff := range m.filters {
-				out, err := ff.f.Filter(rec.Data)
-				if err != nil {
-					return nil
-				}
-				if out == nil {
-					continue
-				}
-				fr, err := encodeWireDelta(ff.vid, out)
-				if err != nil {
-					return nil
-				}
-				frames = append(frames, fr)
-			}
-		}
-	}
-	sched := &pipeline.FlowSlice{Sched: fresh.Sched, Quar: fresh.Quar}
-	fr, err := encodeWireSlice(wireSched, sched)
-	if err != nil {
-		return nil
-	}
-	return append(frames, fr)
 }
 
 // fail aborts the session on both sides and records the abort. The source
@@ -530,74 +408,20 @@ type clusterSink struct {
 func (s *clusterSink) Prepare(id uint64, bucket int) error { return nil }
 
 func (s *clusterSink) Install(id uint64, blobs [][]byte) (int, error) {
-	var handler []pipeline.HandlerFlow
-	var deltas []pipeline.FlowDelta
-	var sched, replace *pipeline.FlowSlice
-	for _, b := range blobs {
-		kind, payload, err := splitWire(b)
-		if err != nil {
-			return 0, err
-		}
-		switch kind {
-		case wireFlow:
-			hf, err := decodeWireFlow(payload)
-			if err != nil {
-				return 0, err
-			}
-			handler = append(handler, hf)
-		case wireDelta:
-			d, err := decodeWireDelta(payload)
-			if err != nil {
-				return 0, err
-			}
-			deltas = append(deltas, d)
-		case wireSched:
-			sl, err := decodeWireSlice(payload)
-			if err != nil {
-				return 0, err
-			}
-			sched = sl
-		case wireReplace:
-			sl, err := decodeWireSlice(payload)
-			if err != nil {
-				return 0, err
-			}
-			replace = sl
-		default:
-			return 0, fmt.Errorf("bro: unknown migration blob kind %d", kind)
-		}
+	if len(blobs) != 1 {
+		return 0, fmt.Errorf("bro: handoff carries %d slices, want 1", len(blobs))
+	}
+	sl, err := decodeWireSlice(blobs[0])
+	if err != nil {
+		return 0, err
 	}
 	par := s.inst.par
-	if replace != nil {
-		// Authoritative full slice: whatever was pre-copied is superseded.
-		if err := par.InjectFlows(replace); err != nil {
-			par.ForgetFlows(replace) //nolint:errcheck // best-effort rollback
-			return 0, err
-		}
-		s.installed[id] = replace
-		return len(replace.Handler), nil
-	}
-	union := &pipeline.FlowSlice{Handler: handler}
-	if sched != nil {
-		union.Sched, union.Quar = sched.Sched, sched.Quar
-	}
-	if err := par.InjectFlows(&pipeline.FlowSlice{Handler: handler}); err != nil {
-		par.ForgetFlows(union) //nolint:errcheck // best-effort rollback
+	if err := par.InjectFlows(sl); err != nil {
+		par.ForgetFlows(sl) //nolint:errcheck // best-effort rollback
 		return 0, err
 	}
-	closed, err := par.ApplyFlowDeltas(deltas)
-	if err != nil {
-		par.ForgetFlows(union) //nolint:errcheck // best-effort rollback
-		return 0, err
-	}
-	if sched != nil {
-		if err := par.InjectFlows(&pipeline.FlowSlice{Sched: sched.Sched, Quar: sched.Quar}); err != nil {
-			par.ForgetFlows(union) //nolint:errcheck // best-effort rollback
-			return 0, err
-		}
-	}
-	s.installed[id] = union
-	return len(handler) - closed, nil
+	s.installed[id] = sl
+	return len(sl.Handler), nil
 }
 
 func (s *clusterSink) Discard(id uint64) {
@@ -607,61 +431,13 @@ func (s *clusterSink) Discard(id uint64) {
 	}
 }
 
-// --- wire blobs -----------------------------------------------------------------
+// --- wire blob -----------------------------------------------------------------
 
-// Blob kinds inside State frames. The frame layer already checksums and
-// sequences; these bytes only say what the payload is.
-const (
-	wireFlow    byte = 1 // one pre-copied handler flow
-	wireDelta   byte = 2 // one filtered per-flow delta record
-	wireSched   byte = 3 // fresh scheduling entries + quarantine marks
-	wireReplace byte = 4 // authoritative full slice (fallback path)
-)
-
-func splitWire(b []byte) (byte, []byte, error) {
-	if len(b) == 0 {
-		return 0, nil, errors.New("bro: empty migration blob")
-	}
-	return b[0], b[1:], nil
-}
-
-func encodeWireFlow(hf pipeline.HandlerFlow) ([]byte, error) {
+// encodeWireSlice writes the one State blob a handoff ships: the slice's
+// handler flows, scheduling entries and quarantine marks. The frame layer
+// already checksums and sequences it.
+func encodeWireSlice(s *pipeline.FlowSlice) ([]byte, error) {
 	var buf bytes.Buffer
-	buf.WriteByte(wireFlow)
-	enc := snapshot.NewRawEncoder(&buf)
-	enc.U64(hf.VID)
-	encodeKey(enc, hf.Key)
-	enc.Bytes(hf.Blob)
-	return buf.Bytes(), enc.Err()
-}
-
-func decodeWireFlow(payload []byte) (pipeline.HandlerFlow, error) {
-	dec := snapshot.NewRawDecoder(payload)
-	hf := pipeline.HandlerFlow{VID: dec.U64()}
-	hf.Key = decodeKey(dec)
-	hf.Blob = bytes.Clone(dec.Bytes())
-	return hf, dec.Err()
-}
-
-func encodeWireDelta(vid uint64, data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(wireDelta)
-	enc := snapshot.NewRawEncoder(&buf)
-	enc.U64(vid)
-	enc.Bytes(data)
-	return buf.Bytes(), enc.Err()
-}
-
-func decodeWireDelta(payload []byte) (pipeline.FlowDelta, error) {
-	dec := snapshot.NewRawDecoder(payload)
-	d := pipeline.FlowDelta{VID: dec.U64()}
-	d.Data = bytes.Clone(dec.Bytes())
-	return d, dec.Err()
-}
-
-func encodeWireSlice(kind byte, s *pipeline.FlowSlice) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(kind)
 	enc := snapshot.NewRawEncoder(&buf)
 	enc.U32(uint32(len(s.Handler)))
 	for _, hf := range s.Handler {

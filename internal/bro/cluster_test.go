@@ -1,6 +1,7 @@
 package bro
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -128,24 +129,30 @@ func TestClusterEquivalenceUnderMigration(t *testing.T) {
 		if err := c.CheckOwnership(); err != nil {
 			t.Errorf("%s: after close: %v", label, err)
 		}
-		tail, fallback := c.HandoffStats()
-		if tail+fallback != handoffs {
-			t.Errorf("%s: %d handoffs committed, want %d", label, tail+fallback, handoffs)
+		if got := c.Ledger().Instance(0).Commits + c.Ledger().Instance(1).Commits; got != handoffs {
+			t.Errorf("%s: %d handoffs committed, want %d", label, got, handoffs)
 		}
-		if wal && tail == 0 {
-			t.Errorf("%s: no handoff used the WAL delta tail (all fell back)", label)
-		}
-		t.Logf("%s: %d tail handoffs, %d fallback", label, tail, fallback)
 	}
 }
 
 // TestClusterLiveMigrationWindow: packets flow between BeginMigration and
-// Complete — the definition of *live* migration. The pre-copy goes stale
-// while the source keeps processing; the delta tail (or fallback) must
-// reconcile it, byte-identically.
+// Complete — the definition of *live* migration. The source keeps
+// processing the bucket, flows are born inside the window, and Complete's
+// quiesced extract must carry all of it: every flow born in the window
+// ends up owned by the target with exactly the state the source held,
+// and the merged logs stay byte-identical to a single node.
 func TestClusterLiveMigrationWindow(t *testing.T) {
 	pkts := mergedTrace(t)
 	want := singleBaseline(t, pkts)
+	born := map[flow.Key]int{} // canonical key -> first packet index
+	for i := range pkts {
+		if key, ok := flow.FromFrame(pkts[i].Data); ok {
+			ck, _ := key.Canonical()
+			if _, seen := born[ck]; !seen {
+				born[ck] = i
+			}
+		}
+	}
 
 	c, err := NewCluster(clusterCfg(), ClusterConfig{
 		Instances: 2, Buckets: 8,
@@ -158,7 +165,7 @@ func TestClusterLiveMigrationWindow(t *testing.T) {
 	feedSlice(t, c, pkts, 0, third)
 	// Drain instance 0 one bucket at a time (the endpoint holds one
 	// session), feeding a window of traffic between each Begin and
-	// Complete: the pre-copy goes stale and the tail must reconcile it.
+	// Complete.
 	var mine []int
 	for b := 0; b < c.Table().Buckets(); b++ {
 		if c.Table().OwnerOf(b) == 0 {
@@ -167,17 +174,51 @@ func TestClusterLiveMigrationWindow(t *testing.T) {
 	}
 	lo := third
 	window := third / len(mine)
+	moved := 0
 	for _, b := range mine {
+		match := func(vid uint64) bool { return c.table.BucketOf(vid) == b }
 		m, err := c.BeginMigration(b, 1, nil)
 		if err != nil {
 			t.Fatalf("begin bucket %d: %v", b, err)
 		}
 		feedSlice(t, c, pkts, lo, lo+window)
-		lo += window
+		before, err := c.insts[0].par.ExtractFlows(match)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := m.Complete(); err != nil {
 			t.Fatalf("complete bucket %d: %v", b, err)
 		}
+		after, err := c.insts[1].par.ExtractFlows(match)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onTarget := map[flow.Key][]byte{}
+		for _, hf := range after.Handler {
+			onTarget[hf.Key] = hf.Blob
+		}
+		for _, hf := range before.Handler {
+			if first := born[hf.Key]; first < lo || first >= lo+window {
+				continue
+			}
+			moved++
+			if owners, err := c.Owners(hf.Key); err != nil || len(owners) != 1 || owners[0] != 1 {
+				t.Fatalf("bucket %d: flow born in the window owned by %v (%v), want [1]", b, owners, err)
+			}
+			got, ok := onTarget[hf.Key]
+			if !ok {
+				t.Fatalf("bucket %d: flow born in the window missing on the target", b)
+			}
+			if !bytes.Equal(withoutCtx(t, got), withoutCtx(t, hf.Blob)) {
+				t.Errorf("bucket %d: target state of a flow born in the window differs from the source's", b)
+			}
+		}
+		lo += window
 	}
+	if moved == 0 {
+		t.Fatal("no flow was born inside a migration window")
+	}
+	t.Logf("%d flows born inside a Begin->Complete window moved", moved)
 	if got := c.Table().Counts(2)[0]; got != 0 {
 		t.Fatalf("instance 0 still owns %d buckets", got)
 	}
@@ -392,7 +433,7 @@ func TestClusterDiscardAfterInstall(t *testing.T) {
 	if slice.Empty() {
 		t.Skip("bucket drew no flows; nothing to exercise")
 	}
-	blob, err := encodeWireSlice(wireReplace, slice)
+	blob, err := encodeWireSlice(slice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +621,7 @@ func TestClusterRefusesSecondSessionWhileInstalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := encodeWireSlice(wireReplace, slice)
+	blob, err := encodeWireSlice(slice)
 	if err != nil {
 		t.Fatal(err)
 	}

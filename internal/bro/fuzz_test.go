@@ -69,10 +69,9 @@ func FuzzEngineFeedBinpac(f *testing.F) {
 }
 
 // stateSeeds returns real engine-state inputs for cfg: a checkpoint
-// taken mid-trace, the per-packet delta records after it, the ExtractFlow
-// blob of every flow open at the checkpoint, and those flows' filtered
-// projections of the records. uid names the oldest of those flows.
-func stateSeeds(tb testing.TB, cfg Config) (seeds [][]byte, uid string) {
+// taken mid-trace, the ExtractFlow blob of every flow open at the
+// checkpoint, and the per-packet delta records after it.
+func stateSeeds(tb testing.TB, cfg Config) [][]byte {
 	// A tiny trace keeps the seeds small: the fuzzer minimizes every new
 	// input it finds, and minimization time grows with input size.
 	hc := gen.DefaultHTTPConfig()
@@ -97,25 +96,12 @@ func stateSeeds(tb testing.TB, cfg Config) (seeds [][]byte, uid string) {
 	if err := e.ResetDeltaBase(); err != nil {
 		tb.Fatal(err)
 	}
-	seeds = [][]byte{ckpt.Bytes()}
-	var filters []*FlowDeltaFilter
+	seeds := [][]byte{ckpt.Bytes()}
 	for _, key := range e.MigratableFlows() {
 		blob, err := e.ExtractFlow(key)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		u, err := FlowBlobUID(blob)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if uid == "" {
-			uid = u
-		}
-		f := NewFlowDeltaFilter(u)
-		if err := f.SeedConnBlob(blob); err != nil {
-			tb.Fatal(err)
-		}
-		filters = append(filters, f)
 		seeds = append(seeds, blob)
 	}
 	for i := cut; i < len(pkts) && i < cut+12; i++ {
@@ -125,27 +111,20 @@ func stateSeeds(tb testing.TB, cfg Config) (seeds [][]byte, uid string) {
 			tb.Fatal(err)
 		}
 		seeds = append(seeds, rec)
-		for _, f := range filters {
-			if out, err := f.Filter(rec); err == nil && out != nil {
-				seeds = append(seeds, out)
-			}
-		}
 	}
-	return seeds, uid
+	return seeds
 }
 
 // FuzzEngineStateDecode feeds hostile bytes to every reader of engine
-// state — RestoreEngine, ApplyDelta, FlowDeltaFilter, FlowBlobUID,
-// InjectFlow and ApplyFlowDelta — on a fresh engine per input. They may
-// reject an input but must never panic. Building engines makes each run
-// cost about half a millisecond, so run it with a bounded minimization
-// (-fuzzminimizetime=100x); the default 60s per new input leaves little
-// time for fuzzing.
+// state — RestoreEngine, ApplyDelta and InjectFlow — on a fresh engine
+// per input. They may reject an input but must never panic. Building
+// engines makes each run cost about half a millisecond, so run it with a
+// bounded minimization (-fuzzminimizetime=100x); the default 60s per new
+// input leaves little time for fuzzing.
 func FuzzEngineStateDecode(f *testing.F) {
 	cfg := Config{Parser: "standard", ScriptExec: "interp",
 		Scripts: []string{HTTPScript, DNSScript}, Quiet: true}
-	seeds, uid := stateSeeds(f, cfg)
-	for _, s := range seeds {
+	for _, s := range stateSeeds(f, cfg) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -156,10 +135,5 @@ func FuzzEngineStateDecode(f *testing.F) {
 		}
 		_ = e.ApplyDelta(data)
 		_, _ = e.InjectFlow(data)
-		_, _ = e.ApplyFlowDelta(data)
-		filter := NewFlowDeltaFilter(uid)
-		_ = filter.SeedConnBlob(data)
-		_, _ = filter.Filter(data)
-		_, _ = FlowBlobUID(data)
 	})
 }

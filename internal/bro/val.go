@@ -16,6 +16,7 @@
 package bro
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"strconv"
@@ -192,10 +193,14 @@ func (r *RecordVal) Render() string {
 // TableVal is a Bro table or set (sets have nil yields). Entries keep
 // insertion order for deterministic iteration; expiration follows the
 // &create_expire / &read_expire attributes, driven by network time.
+// Live entries also sit in a min-heap keyed by a lower bound of their
+// touch time, so an access expires only the entries that are due
+// instead of scanning the table.
 type TableVal struct {
 	IsSet   bool
 	entries map[string]*tableEntry
 	order   []*tableEntry
+	byTouch touchHeap
 
 	ExpireInterval int64 // ns; 0 = no expiration
 	ExpireOnRead   bool  // &read_expire vs &create_expire
@@ -207,6 +212,33 @@ type tableEntry struct {
 	yield   Val
 	touched int64
 	deleted bool
+	// Heap bookkeeping: the entry's slot in TableVal.byTouch and its heap
+	// key. due <= touched always; a later touch leaves due behind and
+	// expire catches up when the entry reaches the top.
+	hidx int
+	due  int64
+}
+
+// touchHeap orders live entries by due (container/heap).
+type touchHeap []*tableEntry
+
+func (h touchHeap) Len() int           { return len(h) }
+func (h touchHeap) Less(i, j int) bool { return h[i].due < h[j].due }
+func (h touchHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].hidx, h[j].hidx = i, j
+}
+func (h *touchHeap) Push(x any) {
+	en := x.(*tableEntry)
+	en.hidx = len(*h)
+	*h = append(*h, en)
+}
+func (h *touchHeap) Pop() any {
+	old := *h
+	en := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return en
 }
 
 // NewTable creates a table (or set).
@@ -231,31 +263,34 @@ func KeyString(key []Val) string {
 	return strings.Join(parts, "\x01")
 }
 
-// expire drops stale entries (called on access with current network time).
+// expire drops stale entries (called on access with current network
+// time): every entry with now-touched >= ExpireInterval. Because due
+// never exceeds touched, no entry below a top with now-due <
+// ExpireInterval can be stale.
 func (t *TableVal) expire(now int64) {
 	if t.ExpireInterval <= 0 {
 		return
 	}
-	for k, e := range t.entries {
-		if now-e.touched >= t.ExpireInterval {
-			e.deleted = true
-			delete(t.entries, k)
+	for len(t.byTouch) > 0 {
+		top := t.byTouch[0]
+		if now-top.due < t.ExpireInterval {
+			return
 		}
+		if now-top.touched >= t.ExpireInterval {
+			t.remove(top)
+			continue
+		}
+		top.due = top.touched
+		heap.Fix(&t.byTouch, 0)
 	}
 }
 
-// Put inserts or updates an entry.
-func (t *TableVal) Put(now int64, key []Val, yield Val) {
-	t.expire(now)
-	ks := KeyString(key)
-	if e, ok := t.entries[ks]; ok {
-		e.yield = yield
-		e.touched = now
-		return
-	}
-	e := &tableEntry{key: key, keyStr: ks, yield: yield, touched: now}
-	t.entries[ks] = e
-	t.order = append(t.order, e)
+// insert adds a new live entry at the end of the insertion order.
+func (t *TableVal) insert(en *tableEntry) {
+	t.entries[en.keyStr] = en
+	t.order = append(t.order, en)
+	en.due = en.touched
+	heap.Push(&t.byTouch, en)
 	if len(t.order) > 2*len(t.entries)+16 {
 		live := t.order[:0]
 		for _, oe := range t.order {
@@ -267,6 +302,54 @@ func (t *TableVal) Put(now int64, key []Val, yield Val) {
 	}
 }
 
+// remove drops a live entry.
+func (t *TableVal) remove(en *tableEntry) {
+	en.deleted = true
+	delete(t.entries, en.keyStr)
+	heap.Remove(&t.byTouch, en.hidx)
+}
+
+// touch sets a live entry's touch time. Moving it later is O(1) (due
+// stays behind); only a clock that stepped backward re-sifts the heap.
+func (t *TableVal) touch(en *tableEntry, now int64) {
+	en.touched = now
+	if now < en.due {
+		en.due = now
+		heap.Fix(&t.byTouch, en.hidx)
+	}
+}
+
+// deleteKey drops the entry with canonical key ks, if present.
+func (t *TableVal) deleteKey(ks string) {
+	if en, ok := t.entries[ks]; ok {
+		t.remove(en)
+	}
+}
+
+// restoreEntry installs a decoded entry (checkpoint restore, table diff,
+// migrated flow) with its recorded touch time. An existing entry with the
+// same key is updated in place and keeps its position in the order.
+func (t *TableVal) restoreEntry(en *tableEntry) {
+	if old, ok := t.entries[en.keyStr]; ok {
+		old.key, old.yield = en.key, en.yield
+		t.touch(old, en.touched)
+		return
+	}
+	t.insert(en)
+}
+
+// Put inserts or updates an entry.
+func (t *TableVal) Put(now int64, key []Val, yield Val) {
+	t.expire(now)
+	ks := KeyString(key)
+	if e, ok := t.entries[ks]; ok {
+		e.yield = yield
+		t.touch(e, now)
+		return
+	}
+	t.insert(&tableEntry{key: key, keyStr: ks, yield: yield, touched: now})
+}
+
 // Get looks up an entry.
 func (t *TableVal) Get(now int64, key []Val) (Val, bool) {
 	t.expire(now)
@@ -275,7 +358,7 @@ func (t *TableVal) Get(now int64, key []Val) (Val, bool) {
 		return nil, false
 	}
 	if t.ExpireOnRead {
-		e.touched = now
+		t.touch(e, now)
 	}
 	return e.yield, true
 }
@@ -288,11 +371,7 @@ func (t *TableVal) Has(now int64, key []Val) bool {
 
 // Delete removes an entry.
 func (t *TableVal) Delete(now int64, key []Val) {
-	ks := KeyString(key)
-	if e, ok := t.entries[ks]; ok {
-		e.deleted = true
-		delete(t.entries, ks)
-	}
+	t.deleteKey(KeyString(key))
 }
 
 // Len returns the number of live entries.

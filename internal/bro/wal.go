@@ -418,7 +418,7 @@ func diffTable(c *interpCache, t *TableVal) (body []byte, changed bool) {
 
 // encodeTableDiff writes a table diff body: the canonical key strings of
 // deleted entries, then the upserted entry blobs (tableEntryBlobs layout).
-// Delta records and per-flow filtered records share it.
+// applyTableDiff is its one reader.
 func encodeTableDiff(dels []string, ups [][]byte) []byte {
 	var buf bytes.Buffer
 	enc := snapshot.NewRawEncoder(&buf)
@@ -428,17 +428,6 @@ func encodeTableDiff(dels []string, ups [][]byte) []byte {
 		enc.Bytes(eb)
 	}
 	return buf.Bytes()
-}
-
-// readTableDiff decodes an encodeTableDiff body.
-func readTableDiff(body []byte) (dels []string, ups [][]byte, err error) {
-	dec := snapshot.NewRawDecoder(body)
-	dels = decodeStrings(dec)
-	nup := dec.Len(4)
-	for i := 0; i < nup && dec.Err() == nil; i++ {
-		ups = append(ups, dec.Bytes())
-	}
-	return dels, ups, dec.Err()
 }
 
 // execDeltas returns the changed VM globals of executor `which` (0 =
@@ -500,7 +489,7 @@ func (ds *deltaState) execDeltas(globals []values.Value, which int) []globalRec 
 // ApplyDelta does not maintain delta tracking; a caller that resumes WAL
 // mode afterwards re-bases with Checkpoint + ResetDeltaBase.
 func (e *Engine) ApplyDelta(data []byte) error {
-	r, err := readRecord(snapshot.NewRawDecoder(data), data)
+	r, err := readRecord(snapshot.NewRawDecoder(data))
 	if err != nil {
 		return err
 	}
@@ -520,22 +509,17 @@ func (e *Engine) dropConnState(c *conn) {
 
 // applyTableDiff applies an encodeTableDiff body to t.
 func applyTableDiff(t *TableVal, body []byte, ip *Interp) error {
-	dels, ups, err := readTableDiff(body)
-	if err != nil {
-		return err
+	dec := snapshot.NewRawDecoder(body)
+	for _, ks := range decodeStrings(dec) {
+		t.deleteKey(ks)
 	}
-	for _, ks := range dels {
-		if en, ok := t.entries[ks]; ok {
-			en.deleted = true
-			delete(t.entries, ks)
-		}
-	}
-	for _, eb := range ups {
-		if err := upsertEntry(t, eb, ip); err != nil {
+	nup := dec.Len(4)
+	for i := 0; i < nup && dec.Err() == nil; i++ {
+		if err := upsertEntry(t, dec.Bytes(), ip); err != nil {
 			return err
 		}
 	}
-	return nil
+	return dec.Err()
 }
 
 // upsertEntry decodes one entry blob (tableEntryBlobs layout) and
@@ -548,12 +532,7 @@ func upsertEntry(t *TableVal, blob []byte, ip *Interp) error {
 	if en == nil {
 		return ed.Err()
 	}
-	if old, ok := t.entries[en.keyStr]; ok {
-		old.key, old.yield, old.touched = en.key, en.yield, en.touched
-		return nil
-	}
-	t.entries[en.keyStr] = en
-	t.order = append(t.order, en)
+	t.restoreEntry(en)
 	return nil
 }
 
